@@ -7,8 +7,7 @@ circle circumference (--circle).
 
 Exit codes: 0 success; 1 a verification subcommand found a mismatch;
 2 usage or input errors.  Output is deterministic byte-for-byte for a
-fixed invocation.  PLATYCOSM_WORKERS sets the worker count for spectrum
-enumeration (default 1).
+fixed invocation.
 """
 
 from __future__ import annotations
@@ -27,19 +26,6 @@ from .selberg import exercise_identity_sides, heat_trace_csv, heat_trace_rows
 from .spectrum import circle_spectrum, is_isospectral, spectrum_table
 
 DEFAULT_T_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
-
-
-def _workers() -> int | None:
-    raw = os.environ.get("PLATYCOSM_WORKERS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise PlatycosmError(f"PLATYCOSM_WORKERS must be an integer: {raw!r}") from exc
-    if n < 1:
-        raise PlatycosmError("PLATYCOSM_WORKERS must be >= 1")
-    return n
 
 
 def _resolve_space(name: str | None, path: str | None):
@@ -98,7 +84,7 @@ def _cmd_spectrum(args) -> int:
         table = circle_spectrum(args.circle, args.max_key)
     else:
         space = _resolve_space(args.space, args.space_file)
-        table = spectrum_table(space, args.max_key, workers=_workers())
+        table = spectrum_table(space, args.max_key)
     if args.format == "csv":
         _emit(table.to_csv())
     else:
@@ -205,7 +191,7 @@ def _cmd_heat_trace(args) -> int:
 def _cmd_verify(args) -> int:
     left = _resolve_space(args.left, args.left_file)
     right = _resolve_space(args.right, args.right_file)
-    verdict = is_isospectral(left, right, args.max_key, workers=_workers())
+    verdict = is_isospectral(left, right, args.max_key)
     if args.format == "csv":
         lines = [
             "verdict,max_key,first_differing_key,left_multiplicity,right_multiplicity"

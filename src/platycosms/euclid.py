@@ -62,6 +62,11 @@ __all__ = [
     "load_space_file",
 ]
 
+# Size of every memo cache in the package: it holds the working set of a
+# long-lived process, while a stream of new presentations cannot grow
+# memory without limit.
+CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class Isometry:
@@ -93,19 +98,29 @@ class Isometry:
 IDENTITY_ISOMETRY = Isometry(IDENTITY, (0, 0, 0))
 
 
+def _trusted(rot: Mat3, trans: Vec3) -> Isometry:
+    """Isometry from parts already in canonical Fraction form, without
+    re-validation: products and transposes of validated orthogonal
+    matrices stay orthogonal with determinant +-1."""
+    g = object.__new__(Isometry)
+    object.__setattr__(g, "rot", rot)
+    object.__setattr__(g, "trans", trans)
+    return g
+
+
 def translation(v) -> Isometry:
     return Isometry(IDENTITY, vec(*v))
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """The isometry x -> g(h(x))."""
-    return Isometry(mat_mul(g.rot, h.rot), vec_add(mat_vec(g.rot, h.trans), g.trans))
+    return _trusted(mat_mul(g.rot, h.rot), vec_add(mat_vec(g.rot, h.trans), g.trans))
 
 
 def inverse(g: Isometry) -> Isometry:
     """Group inverse; exact, using rot^-1 = rot^T for orthogonal rot."""
     rot_inv = transpose(g.rot)
-    return Isometry(rot_inv, vec_scale(-1, mat_vec(rot_inv, g.trans)))
+    return _trusted(rot_inv, vec_scale(-1, mat_vec(rot_inv, g.trans)))
 
 
 def isometry_power(g: Isometry, n: int) -> Isometry:

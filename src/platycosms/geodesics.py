@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidPresentationError, UnsupportedGeometryError
-from .euclid import Isometry, PlatycosmPresentation, compose, inverse
+from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, compose, inverse
 from .linalg import (
     IDENTITY,
     Mat3,
@@ -211,7 +211,7 @@ def _build_family(P: PlatycosmPresentation, g: Isometry) -> _TwistFamily:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _families(P: PlatycosmPresentation) -> dict[Mat3, _TwistFamily]:
     return {g.rot: _build_family(P, g) for g in P.holonomy_reps if not g.is_identity}
 
@@ -302,7 +302,7 @@ def _power_sum_apply(B: Mat3, k: int, v: Vec3) -> Vec3:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def twisted_classes(
     P: PlatycosmPresentation, max_length: Fraction
 ) -> tuple[GeodesicClass, ...]:

@@ -23,7 +23,6 @@ def mat(rows) -> Mat3:
 
 
 IDENTITY: Mat3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-ZERO_VEC: Vec3 = vec(0, 0, 0)
 
 
 def vec_add(a: Vec3, b: Vec3) -> Vec3:
@@ -32,10 +31,6 @@ def vec_add(a: Vec3, b: Vec3) -> Vec3:
 
 def vec_sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vec_neg(a: Vec3) -> Vec3:
-    return (-a[0], -a[1], -a[2])
 
 
 def vec_scale(c, a: Vec3) -> Vec3:

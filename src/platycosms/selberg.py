@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CutoffBudgetError
-from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice, volume
+from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice
 from .geodesics import _families, twist_factor, twisted_classes, weight
 from .linalg import dot, fraction_to_str, inv3, transpose, vec
 from .spectrum import circle_spectrum, spectrum_table
@@ -243,15 +243,25 @@ def _cylinder_tail(P: PlatycosmPresentation, S: float, t: float) -> float:
     return total
 
 
-def _geometric_tails(P: PlatycosmPresentation, S: float, t: float, lat: Lattice):
-    prefactor = float(volume(P)) / (4 * math.pi * t) ** 1.5
+def _lattice_and_volume(P: PlatycosmPresentation) -> tuple[Lattice, Fraction]:
+    """The translation lattice and the volume (as `volume`), derived once."""
+    lat = translation_lattice(P)
+    return lat, lat.covolume() / len(P.holonomy_reps)
+
+
+def _geometric_tails(
+    P: PlatycosmPresentation, S: float, t: float, lat: Lattice, vol: Fraction
+):
+    prefactor = float(vol) / (4 * math.pi * t) ** 1.5
     return prefactor * _lattice_tail(lat, S, t), _cylinder_tail(P, S, t)
 
 
-def _geometric_cutoff(P: PlatycosmPresentation, t: float, eps: float, lat: Lattice) -> float:
+def _geometric_cutoff(
+    P: PlatycosmPresentation, t: float, eps: float, lat: Lattice, vol: Fraction
+) -> float:
     S = max(1.0, 2.0 * math.sqrt(2 * t))
     while True:
-        jump_tail, cyl_tail = _geometric_tails(P, S, t, lat)
+        jump_tail, cyl_tail = _geometric_tails(P, S, t, lat, vol)
         if jump_tail < eps / 4 and cyl_tail < eps / 4:
             return S
         S += 0.5
@@ -281,17 +291,17 @@ def spectral_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> HeatT
 def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> HeatTrace:
     """K(t) from geometry: lattice image terms within a certified radius
     plus closed-form cylinder terms of all classes enumerated to it."""
-    lat = translation_lattice(P)
+    lat, vol = _lattice_and_volume(P)
     S = cfg.geometric_cutoff
     if S is None:
-        S = _geometric_cutoff(P, cfg.t, cfg.eps, lat)
+        S = _geometric_cutoff(P, cfg.t, cfg.eps, lat, vol)
     if S > GEOMETRIC_RADIUS_BUDGET:
         raise CutoffBudgetError("explicit geometric cutoff exceeds the budget")
     # round the radius up to the half-integer grid: enumeration bounds are
     # exact rationals and the cache is shared across nearby configs
     S_frac = Fraction(math.ceil(2 * S), 2)
     t = cfg.t
-    prefactor = float(volume(P)) / (4 * math.pi * t) ** 1.5
+    prefactor = float(vol) / (4 * math.pi * t) ** 1.5
     jump = prefactor * math.fsum(
         math.exp(-float(norm2) / (4 * t))
         for _, norm2 in _lattice_points_within(lat, S_frac)
@@ -303,7 +313,7 @@ def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> Heat
         * math.exp(-float(c.length) ** 2 / (4 * t)) / (4 * math.sqrt(math.pi * t))
         for c in twisted_classes(P, S_frac)
     )
-    jump_tail, cyl_tail = _geometric_tails(P, float(S_frac), t, lat)
+    jump_tail, cyl_tail = _geometric_tails(P, float(S_frac), t, lat, vol)
     return HeatTrace(jump + cylinders, jump_tail + cyl_tail, float(S_frac))
 
 
@@ -389,8 +399,8 @@ def counting_function(P: PlatycosmPresentation, s) -> CountingSample:
     s = Fraction(s)
     if s < 0:
         raise ValueError("radius must be nonnegative")
-    lat = translation_lattice(P)
-    jump = volume(P) * lattice_count(lat, s)
+    lat, vol = _lattice_and_volume(P)
+    jump = vol * lattice_count(lat, s)
     cyl = Fraction(0)
     if s > 0:
         for c in twisted_classes(P, s):

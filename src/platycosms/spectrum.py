@@ -1,34 +1,59 @@
-"""Exact Laplace spectra of platycosms via symmetrized Fourier modes.
+"""Exact Laplace spectra of platycosms from the character decomposition.
 
-Eigenvalues are tracked through integer "norm keys": the Fourier mode with
-dual-lattice frequency (a, b, c) has eigenvalue 4*pi^2*(a^2+b^2+c^2), and
-key = 4*(a^2+b^2+c^2) is an exact nonnegative integer once c is a
-half-integer.  The multiplicity of a key is the trace of the holonomy
-averaging projector on the span of that key's shell:
+A Fourier mode with frequency v in the dual lattice Lstar of the
+translation lattice has eigenvalue 4*pi^2*|v|^2, tracked through the
+integer "norm key" key(v) = 4*|v|^2.  The multiplicity of a key is the
+trace of the holonomy averaging projector on the span of its shell,
+which splits by holonomy rep (the multiplicity formula for flat
+manifolds of Miatello and Rossetti):
 
-    mult(key) = (1/m) * sum_j sum_{v in shell, Bj^T v = v} e^(2 pi i v.bj)
+    mult(key) = (1/m) * [ |shell(key)|
+                          + sum_{g != 1} sum_{v in Lstar, Bg^T v = v,
+                                             key(v) = key} i^(4 v.bg) ]
 
-evaluated exactly in the Gaussian integers (all preset phases are fourth
-roots of unity).  The imaginary part cancels by the v <-> -v pairing and
-the result is asserted to be a nonnegative integer.
+A vector that g moves only permutes the shell, so each twisted rep sees
+only its fixed sublattice.  All work runs in integer coordinates x of a
+reduced basis of Lstar, where key = x^T Q x with Q = 4*Gram(Lstar); the
+package requires Q to be integral and every phase to be a fourth root of
+unity.  Phases are summed exactly in the Gaussian integers, and each
+multiplicity is asserted to be a nonnegative integer.
+
+Cost of a table up to key K:
+
+  identity term   shell sizes for every key at once: a sparse
+                  convolution of the 1-D square counts when Q is
+                  diagonal, else an enumeration of the ~(4pi/3)K^1.5/sqrt(det Q)
+                  points of the ball in Q coordinates;
+  twisted terms   the points of the integer fixed sublattice ker(Bg^T - 1)
+                  in the ball: O(sqrt K) on the line of a screw, O(K) on
+                  the plane of a glide.
+
+`multiplicity` evaluates one key independently: it enumerates that single
+shell, solving for the last coordinate (O(K) work), and applies every
+rep's full action to each vector.  Each table re-checks a few of its keys
+against it.
+
+`shell`, `orbit_dims` and the `DualVector`/`OrbitSpec` labels describe
+frequencies on the (a, b, c) grid Z x Z x (1/2)Z and refuse a dual
+lattice outside it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable, Optional
+from itertools import permutations
+from math import isqrt, lcm
+from typing import NamedTuple, Optional
 
 from .errors import (
     CharacterSumError,
     UnsupportedCircumferenceError,
     UnsupportedGeometryError,
 )
-from .euclid import Lattice, PlatycosmPresentation, translation_lattice
-from .linalg import Vec3, inv3, mat, mat_mul, transpose, vec
+from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation, translation_lattice
+from .linalg import Vec3, dot, integer_kernel, inv3, mat_vec, transpose, vec
 
 __all__ = [
     "DualVector",
@@ -170,38 +195,98 @@ def dual_lattice(L: Lattice) -> Lattice:
     return Lattice(inv3(transpose(L.basis)))
 
 
-_HALF_DUAL_BASIS = mat([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+# --- integer points of positive definite quadratic forms ---------------------
 
 
-def _grid_filter(Lstar: Lattice):
-    """Membership test for scan vectors, or None when every (a, b, c/2)
-    grid point belongs to Lstar."""
+def _det(H) -> int:
+    if not H:
+        return 1
+    return sum(
+        (-1) ** j * H[0][j] * _det([row[:j] + row[j + 1:] for row in H[1:]])
+        for j in range(len(H))
+    )
+
+
+def _points(H, lo: int, hi: int):
+    """Every integer vector y with lo <= y^T H y <= hi, as (y, y^T H y).
+
+    H is a positive definite integer matrix of size 0 to 3.  The leading
+    coordinates run over the box |y_i| <= sqrt(hi * (H^-1)_ii) that holds
+    the ellipsoid; the last one is solved from the quadratic, so a single
+    shell (lo = hi) costs one integer square root per box point.
+    """
+    n = len(H)
+    if n == 0:
+        if lo <= 0 <= hi:
+            yield (), 0
+        return
+    det = _det(H)
+    ranges = []
+    for i in range(n - 1):
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(H) if k != i]
+        bound = isqrt(hi * _det(minor) // det)
+        ranges.append(range(-bound, bound + 1))
+    # heads: (leading coordinates, their cross term with the last one,
+    # their own part of the form)
+    if n == 1:
+        heads = [((), 0, 0)]
+    elif n == 2:
+        heads = (((a,), H[1][0] * a, H[0][0] * a * a) for a in ranges[0])
+    else:
+        h00, h01, h11, h20, h21 = H[0][0], H[0][1], H[1][1], H[2][0], H[2][1]
+        heads = (
+            ((a, b), h20 * a + h21 * b, (h00 * a + 2 * h01 * b) * a + h11 * b * b)
+            for a in ranges[0]
+            for b in ranges[1]
+        )
+    q = H[-1][-1]
+    for head, lin, const in heads:
+        # q * (y^T H y) = (q*y_last + lin)^2 + q*const - lin^2
+        outer = lin * lin + q * (hi - const)
+        if outer < 0:
+            continue
+        s = isqrt(outer)
+        inner = lin * lin + q * (lo - const)
+        r = isqrt(inner - 1) + 1 if inner > 0 else 0  # least r with r^2 >= inner
+        for u_lo, u_hi in ((-s, s),) if r == 0 else ((-s, -r), (r, s)):
+            for y in range(-((lin - u_lo) // q), (u_hi - lin) // q + 1):
+                yield head + (y,), const + y * (q * y + 2 * lin)
+
+
+def _reduce(rows, ip) -> list:
+    """Pairwise size-reduced basis of the lattice spanned by `rows` under
+    the inner product `ip`, longest vector first.  Every step is
+    unimodular and strictly shortens a vector, so it terminates."""
+    rows = [tuple(r) for r in rows]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(len(rows)), 2):
+            mu = round(Fraction(ip(rows[i], rows[j]), ip(rows[j], rows[j])))
+            if mu:
+                rows[i] = tuple(a - mu * b for a, b in zip(rows[i], rows[j]))
+                changed = True
+    return sorted(rows, key=lambda r: ip(r, r), reverse=True)
+
+
+def _gram_coordinates(Lstar: Lattice):
+    """(reduced basis, Q = 4 * its Gram matrix as integers)."""
+    basis = _reduce(Lstar.basis, dot)
+    gram = [[4 * dot(u, w) for w in basis] for u in basis]
+    if any(c.denominator != 1 for row in gram for c in row):
+        raise UnsupportedGeometryError(
+            "4 x Gram matrix of the dual lattice is not integral, so norm keys "
+            "are not integers"
+        )
+    return basis, tuple(tuple(int(c) for c in row) for row in gram)
+
+
+def _require_grid(Lstar: Lattice) -> None:
     for row in Lstar.basis:
         if row[0].denominator != 1 or row[1].denominator != 1 or (2 * row[2]).denominator != 1:
             raise UnsupportedGeometryError(
                 "dual lattice is not contained in the Z x Z x (1/2)Z grid"
             )
-    if Lstar.basis == _HALF_DUAL_BASIS:
-        return None
-
-    def member(a: int, b: int, c2: int) -> bool:
-        return Lstar.contains(vec(a, b, Fraction(c2, 2)))
-
-    return member
-
-
-def _scan(key_limit: int, member) -> Iterable[DualVector]:
-    """All grid vectors with norm key <= key_limit passing the filter."""
-    amax = isqrt(key_limit // 4) if key_limit >= 4 else 0
-    for a in range(-amax, amax + 1):
-        rem_a = key_limit - 4 * a * a
-        bmax = isqrt(rem_a // 4) if rem_a >= 4 else 0
-        for b in range(-bmax, bmax + 1):
-            rem = rem_a - 4 * b * b
-            cmax = isqrt(rem)
-            for c2 in range(-cmax, cmax + 1):
-                if member is None or member(a, b, c2):
-                    yield DualVector(a, b, c2)
 
 
 def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
@@ -209,80 +294,92 @@ def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
     negation."""
     if key < 0:
         raise ValueError("norm keys are nonnegative")
-    member = _grid_filter(Lstar)
-    return tuple(sorted(v for v in _scan(key, member) if v.norm_key == key))
+    _require_grid(Lstar)
+    basis, gram = _gram_coordinates(Lstar)
+    out = []
+    for x, _ in _points(gram, key, key):
+        v = [sum(xi * d[k] for xi, d in zip(x, basis)) for k in range(3)]
+        out.append(DualVector(int(v[0]), int(v[1]), int(2 * v[2])))
+    return tuple(sorted(out))
 
 
-# --- holonomy action on dual vectors -----------------------------------------
-
-_SCALE = mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-_SCALE_INV = mat([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+# --- holonomy action on dual coordinates -------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dual_action(P: PlatycosmPresentation):
-    """Per-rep action data in scaled coordinates V = (a, b, 2c).
+class _RepAction(NamedTuple):
+    """One holonomy rep acting on dual coordinates x.
 
-    Returns (m, Lstar, actions); each action is (M, T) where M is the
-    matrix of B^T on scaled coordinates and T gives the phase exponent
-    4*(v.trans) = a*T0 + b*T1 + c2*T2.  Integer matrices/coefficients are
-    demoted to ints for speed; rational ones stay Fractions.
-    """
-    Lstar = dual_lattice(translation_lattice(P))
+    `M` is the integer matrix of B^T, and the phase of a fixed x is
+    i^(4 v.b) with 4 v.b = phase.x / den.  `fixed_gram` is Q restricted to
+    a reduced basis of the fixed sublattice ker(M - 1), and `fixed_phase`
+    gives the phase numerators of that basis."""
+
+    M: tuple[tuple[int, ...], ...]
+    phase: tuple[int, ...]
+    fixed_gram: tuple[tuple[int, ...], ...]
+    fixed_phase: tuple[int, ...]
+
+
+class _DualData(NamedTuple):
+    m: int
+    lattice: Lattice  # Lstar on its reduced basis
+    gram: tuple[tuple[int, ...], ...]
+    den: int
+    actions: tuple[_RepAction, ...]  # the identity first
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _dual_action(P: PlatycosmPresentation) -> _DualData:
+    basis, gram = _gram_coordinates(dual_lattice(translation_lattice(P)))
+    lattice = Lattice(basis)
+    phases = [[4 * dot(d, g.trans) for d in basis] for g in P.holonomy_reps]
+    den = lcm(*(c.denominator for row in phases for c in row))
+
+    def ip(u, w):
+        return sum(u[i] * gram[i][j] * w[j] for i in range(3) for j in range(3))
+
     actions = []
-    for g in P.holonomy_reps:
-        M = mat_mul(mat_mul(_SCALE, transpose(g.rot)), _SCALE_INV)
-        T = (4 * g.trans[0], 4 * g.trans[1], 2 * g.trans[2])
-        if all(c.denominator == 1 for row in M for c in row):
-            M = tuple(tuple(int(c) for c in row) for row in M)
-        if all(c.denominator == 1 for c in T):
-            T = tuple(int(c) for c in T)
-        actions.append((M, T))
-    return len(P.holonomy_reps), Lstar, tuple(actions)
+    for g, phase in zip(P.holonomy_reps, phases):
+        cols = [lattice.coords(mat_vec(transpose(g.rot), d)) for d in basis]
+        M = tuple(tuple(int(cols[j][i]) for j in range(3)) for i in range(3))
+        phase = tuple(int(c * den) for c in phase)
+        fixed = _reduce(
+            integer_kernel([[M[i][j] - (i == j) for j in range(3)] for i in range(3)]), ip
+        )
+        actions.append(_RepAction(
+            M=M,
+            phase=phase,
+            fixed_gram=tuple(tuple(ip(u, w) for w in fixed) for u in fixed),
+            fixed_phase=tuple(sum(a * b for a, b in zip(f, phase)) for f in fixed),
+        ))
+    return _DualData(len(P.holonomy_reps), lattice, gram, den, tuple(actions))
 
 
-def _accumulate_characters(vectors, actions, sums):
-    """Add each rep's fixed-vector phases into sums[key] = [re, im].
-
-    Phase exponents must be integers (phases in {1, i, -1, -i}); anything
-    else is outside this package's exact arithmetic and raises.
-    """
-    for v in vectors:
-        a, b, c2 = v.a, v.b, v.c2
-        key = 4 * a * a + 4 * b * b + c2 * c2
-        cell = sums.get(key)
-        if cell is None:
-            cell = sums[key] = [0, 0]
-        for M, T in actions:
-            fa = M[0][0] * a + M[0][1] * b + M[0][2] * c2
-            if fa != a:
-                continue
-            fb = M[1][0] * a + M[1][1] * b + M[1][2] * c2
-            if fb != b:
-                continue
-            fc = M[2][0] * a + M[2][1] * b + M[2][2] * c2
-            if fc != c2:
-                continue
-            r = T[0] * a + T[1] * b + T[2] * c2
-            if isinstance(r, Fraction):
-                if r.denominator != 1:
-                    raise UnsupportedGeometryError(
-                        "character phase is not a fourth root of unity"
-                    )
-                r = int(r)
-            r &= 3
-            if r == 0:
-                cell[0] += 1
-            elif r == 1:
-                cell[1] += 1
-            elif r == 2:
-                cell[0] -= 1
-            else:
-                cell[1] -= 1
+def _quarter_turns(num: int, den: int) -> int:
+    """r in 0..3 with phase i^r = i^(num/den); raises unless num/den is an
+    integer (phases outside the fourth roots of unity are out of reach)."""
+    if num % den:
+        raise UnsupportedGeometryError("character phase is not a fourth root of unity")
+    return (num // den) & 3
 
 
-def _finalize(key: int, cell, m: int) -> int:
-    re, im = cell
+_RE = (1, 0, -1, 0)
+_IM = (0, 1, 0, -1)
+
+
+def _character_sum(data: _DualData, points) -> tuple[int, int]:
+    """sum over points x and reps g with Mg x = x of the phase, as (re, im)."""
+    re = im = 0
+    for x in points:
+        for act in data.actions:
+            if all(sum(a * b for a, b in zip(row, x)) == xi for row, xi in zip(act.M, x)):
+                r = _quarter_turns(sum(a * b for a, b in zip(act.phase, x)), data.den)
+                re += _RE[r]
+                im += _IM[r]
+    return re, im
+
+
+def _finalize(key: int, re: int, im: int, m: int) -> int:
     if im != 0 or re < 0 or re % m != 0:
         raise CharacterSumError(
             f"character sum at key {key} is ({re} + {im}i)/{m}, "
@@ -295,27 +392,24 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     """Exact dimension of the holonomy-invariant subspace of the key shell."""
     if key < 0:
         raise ValueError("norm keys are nonnegative")
-    m, Lstar, actions = _dual_action(P)
-    sums: dict[int, list[int]] = {}
-    _accumulate_characters(shell(Lstar, key), actions, sums)
-    if key not in sums:
-        return 0
-    return _finalize(key, sums[key], m)
+    data = _dual_action(P)
+    re, im = _character_sum(data, (x for x, _ in _points(data.gram, key, key)))
+    return _finalize(key, re, im, data.m)
 
 
 def orbit_dims(P: PlatycosmPresentation, orbit: OrbitSpec) -> int:
     """Dimension of the symmetrized image of the orbit's span."""
-    m, Lstar, actions = _dual_action(P)
+    data = _dual_action(P)
+    _require_grid(data.lattice)
     vectors = orbit.vectors()
-    member = _grid_filter(Lstar)
-    if member is not None:
-        missing = [v for v in vectors if not member(v.a, v.b, v.c2)]
-        if missing:
-            raise ValueError(f"orbit vector {missing[0]} is not in the dual lattice")
-    sums: dict[int, list[int]] = {}
-    _accumulate_characters(vectors, actions, sums)
-    (key,) = sums.keys()
-    return _finalize(key, sums[key], m)
+    points = []
+    for v in vectors:
+        x = data.lattice.coords(v.vector())
+        if any(c.denominator != 1 for c in x):
+            raise ValueError(f"orbit vector {v} is not in the dual lattice")
+        points.append(tuple(int(c) for c in x))
+    re, im = _character_sum(data, points)
+    return _finalize(vectors[0].norm_key, re, im, data.m)
 
 
 def orbits_in_shell(Lstar: Lattice, key: int) -> tuple[OrbitSpec, ...]:
@@ -323,23 +417,47 @@ def orbits_in_shell(Lstar: Lattice, key: int) -> tuple[OrbitSpec, ...]:
     return tuple(sorted({OrbitSpec.of(v) for v in shell(Lstar, key)}))
 
 
-@lru_cache(maxsize=None)
-def _spectrum_table_serial(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
-    m, Lstar, actions = _dual_action(P)
-    member = _grid_filter(Lstar)
-    sums: dict[int, list[int]] = {}
-    _accumulate_characters(_scan(max_key, member), actions, sums)
-    return _build_table(P, max_key, sums, m)
+# --- spectrum tables -----------------------------------------------------------
 
 
-def _build_table(P, max_key, sums, m) -> SpectrumTable:
+def _shell_sizes(gram, max_key: int) -> dict[int, int]:
+    """|shell(key)| for every key <= max_key whose shell is not empty."""
+    if any(gram[i][j] for i in range(3) for j in range(3) if i != j):
+        sizes: dict[int, int] = {}
+        for _, key in _points(gram, 0, max_key):
+            sizes[key] = sizes.get(key, 0) + 1
+        return sizes
+    # diagonal: convolve the counts of q*y^2, the sparsest (largest q) first
+    sizes = {0: 1}
+    for q in (gram[0][0], gram[1][1], gram[2][2]):
+        squares = [q * y * y for y in range(1, isqrt(max_key // q) + 1)]
+        out = dict(sizes)
+        for n, count in sizes.items():
+            for sq in squares:
+                if n + sq > max_key:
+                    break
+                out[n + sq] = out.get(n + sq, 0) + 2 * count
+        sizes = out
+    return sizes
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
+    data = _dual_action(P)
+    re = _shell_sizes(data.gram, max_key)
+    im: dict[int, int] = {}
+    for act in data.actions[1:]:
+        for y, key in _points(act.fixed_gram, 0, max_key):
+            r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), data.den)
+            re[key] += _RE[r]
+            im[key] = im.get(key, 0) + _IM[r]
     entries = []
-    for key in sorted(sums):
-        mult = _finalize(key, sums[key], m)
+    for key in sorted(re):
+        mult = _finalize(key, re[key], im.get(key, 0), data.m)
         if mult:
             entries.append((key, mult))
     table = SpectrumTable(max_key, tuple(entries))
-    # spot-check the aggregate pass against independent per-key shell sums
+    # spot-check the decomposition against independent per-key shell sums
     probes = {0, 1, max_key // 2, max_key}
     for key in sorted(p for p in probes if 0 <= p <= max_key):
         if multiplicity(P, key) != table.as_dict().get(key, 0):
@@ -349,60 +467,19 @@ def _build_table(P, max_key, sums, m) -> SpectrumTable:
     return table
 
 
-def _spectrum_table_parallel(
-    P: PlatycosmPresentation, max_key: int, workers: int
-) -> SpectrumTable:
-    m, Lstar, actions = _dual_action(P)
-    member = _grid_filter(Lstar)
-    amax = isqrt(max_key // 4) if max_key >= 4 else 0
-    all_a = range(-amax, amax + 1)
-    chunks = [list(all_a)[i::workers] for i in range(workers)]
-
-    def run(chunk):
-        sums: dict[int, list[int]] = {}
-        for a in chunk:
-            rem_a = max_key - 4 * a * a
-            bmax = isqrt(rem_a // 4) if rem_a >= 4 else 0
-            vs = []
-            for b in range(-bmax, bmax + 1):
-                rem = rem_a - 4 * b * b
-                cmax = isqrt(rem)
-                for c2 in range(-cmax, cmax + 1):
-                    if member is None or member(a, b, c2):
-                        vs.append(DualVector(a, b, c2))
-            _accumulate_characters(vs, actions, sums)
-        return sums
-
-    merged: dict[int, list[int]] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(run, chunks):
-            for key, (re, im) in part.items():
-                cell = merged.setdefault(key, [0, 0])
-                cell[0] += re
-                cell[1] += im
-    return _build_table(P, max_key, merged, m)
-
-
-def spectrum_table(
-    P: PlatycosmPresentation, max_key: int, workers: int | None = None
-) -> SpectrumTable:
+def spectrum_table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
     """Multiplicities of every norm key from 0 to max_key."""
     if max_key < 0:
         raise ValueError("max_key must be nonnegative")
-    if workers is not None and workers > 1:
-        return _spectrum_table_parallel(P, max_key, workers)
-    return _spectrum_table_serial(P, max_key)
+    return _table(P, max_key)
 
 
 def is_isospectral(
-    P1: PlatycosmPresentation,
-    P2: PlatycosmPresentation,
-    max_key: int,
-    workers: int | None = None,
+    P1: PlatycosmPresentation, P2: PlatycosmPresentation, max_key: int
 ) -> IsospectralVerdict:
     """Exact key-by-key comparison of two spectra up to max_key."""
-    t1 = spectrum_table(P1, max_key, workers)
-    t2 = spectrum_table(P2, max_key, workers)
+    t1 = spectrum_table(P1, max_key)
+    t2 = spectrum_table(P2, max_key)
     diff = t1.first_difference(t2)
     if diff is None:
         return IsospectralVerdict(True, max_key)

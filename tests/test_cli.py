@@ -7,6 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from conftest import swap_xz
 from platycosms.cli import main
 from platycosms.euclid import presentation_to_json, preset
 
@@ -149,6 +150,29 @@ def test_spectrum_space_file(tmp_path, capsys):
     assert json.loads(out)["entries"] == [[0, 1], [4, 1], [5, 2]]
 
 
+@pytest.mark.parametrize("name", ["tetra", "didi"])
+def test_spectrum_of_x_long_conjugate_matches_preset(tmp_path, capsys, name):
+    path = tmp_path / f"{name}_x_long.json"
+    path.write_text(json.dumps(presentation_to_json(swap_xz(preset(name)))))
+    code, out, _ = run(capsys, "spectrum", "--space-file", str(path),
+                       "--max-key", "400")
+    assert code == 0
+    _, reference, _ = run(capsys, "spectrum", "--space", "tetra", "--max-key", "400")
+    assert out == reference
+
+
+def test_verify_x_long_conjugates_equal(tmp_path, capsys):
+    paths = []
+    for name in ("tetra", "didi"):
+        path = tmp_path / f"{name}_x_long.json"
+        path.write_text(json.dumps(presentation_to_json(swap_xz(preset(name)))))
+        paths.append(str(path))
+    code, out, _ = run(capsys, "verify", "--left-file", paths[0],
+                       "--right-file", paths[1], "--max-key", "400")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+
+
 def test_spectrum_missing_space_exits_two(capsys):
     code, _, err = run(capsys, "spectrum", "--max-key", "5")
     assert code == 2
@@ -256,19 +280,3 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-
-
-def test_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv("PLATYCOSM_WORKERS", "3")
-    code, out, _ = run(capsys, "spectrum", "--space", "tetra", "--max-key", "40")
-    assert code == 0
-    reference = json.loads(out)
-    monkeypatch.delenv("PLATYCOSM_WORKERS")
-    code, out, _ = run(capsys, "spectrum", "--space", "tetra", "--max-key", "40")
-    assert json.loads(out) == reference
-
-
-def test_bad_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv("PLATYCOSM_WORKERS", "zero")
-    code, _, err = run(capsys, "spectrum", "--space", "tetra", "--max-key", "4")
-    assert code == 2

@@ -1,9 +1,12 @@
 """Isometry algebra, presets, and presentation invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import swap_xz
 
 from platycosms.errors import InvalidPresentationError, UnknownPresetError
 from platycosms.euclid import (
@@ -11,6 +14,7 @@ from platycosms.euclid import (
     HALF_TURN_SCREW_Y,
     HALF_TURN_SCREW_Z,
     IDENTITY_ISOMETRY,
+    PRESET_NAMES,
     Isometry,
     Lattice,
     PlatycosmPresentation,
@@ -113,6 +117,30 @@ def test_compose_associative_on_random_triples():
         for _ in range(50):
             f, g, h = (_random_deck_element(rng, P) for _ in range(3))
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+PRODUCT_SPACES = [preset(name) for name in PRESET_NAMES] + [
+    swap_xz(preset("tetra")), swap_xz(preset("didi"))
+]
+
+
+@pytest.mark.parametrize("P", PRODUCT_SPACES, ids=lambda P: P.name)
+def test_products_equal_validated_isometries(P):
+    """compose and inverse skip re-validation; every product of up to
+    three reps and inverses must equal, and hash like, the validated
+    Isometry built from the same parts."""
+    gens = list(P.holonomy_reps) + [inverse(g) for g in P.holonomy_reps]
+    for n in (1, 2, 3):
+        for word in itertools.product(gens, repeat=n):
+            g = word[0]
+            for h in word[1:]:
+                g = compose(g, h)
+            checked = Isometry(g.rot, g.trans)
+            assert g == checked and hash(g) == hash(checked)
+            assert all(type(c) is Fraction for row in g.rot for c in row)
+            assert all(type(c) is Fraction for c in g.trans)
+            with pytest.raises(InvalidPresentationError):
+                Isometry(tuple(tuple(2 * c for c in row) for row in g.rot), g.trans)
 
 
 # --- presets -------------------------------------------------------------------

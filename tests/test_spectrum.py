@@ -6,12 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_tricosm
+from conftest import make_amphicosm, make_dicosm, make_tricosm, swap_xz
+from platycosms import spectrum as spectrum_module
 from platycosms.errors import (
+    CharacterSumError,
     UnsupportedCircumferenceError,
     UnsupportedGeometryError,
 )
-from platycosms.euclid import Lattice, preset, translation_lattice
+from platycosms.euclid import (
+    CACHE_SIZE,
+    Isometry,
+    Lattice,
+    PlatycosmPresentation,
+    preset,
+    translation_lattice,
+)
+from platycosms.geodesics import _families, twisted_classes
 from platycosms.linalg import dot, mat
 from platycosms.spectrum import (
     DualVector,
@@ -276,17 +286,77 @@ def test_spectrum_table_examples():
         assert spectrum_table(preset(name), 0).entries == ((0, 1),)
 
 
-@pytest.mark.parametrize("space", [TETRA, DIDI])
+@pytest.mark.parametrize(
+    "space",
+    [TETRA, DIDI, preset("two_tall"), preset("cubical_torocosm"), make_dicosm(),
+     make_amphicosm(), swap_xz(TETRA), swap_xz(DIDI)],
+)
 def test_spectrum_table_consistent_with_per_key(space):
-    table = spectrum_table(space, 60).as_dict()
-    for key in range(61):
+    """The table (shell sizes plus fixed-sublattice phases) against the
+    per-key sum of every rep's full action on one shell."""
+    table = spectrum_table(space, 200).as_dict()
+    for key in range(201):
         assert table.get(key, 0) == multiplicity(space, key)
 
 
-def test_spectrum_table_parallel_matches_serial():
-    serial = spectrum_table(TETRA, 80)
-    assert spectrum_table(TETRA, 80, workers=3) == serial
-    assert spectrum_table(TETRA, 80, workers=8) == serial
+def test_amphicosm_glide_plane():
+    assert spectrum_table(make_amphicosm(), 20).entries == (
+        (0, 1), (4, 3), (8, 4), (12, 4), (16, 5), (20, 12)
+    )
+
+
+@pytest.mark.parametrize("name", ["tetra", "didi", "two_tall"])
+def test_large_table_matches_spread_keys(name):
+    space = preset(name)
+    table = spectrum_table(space, 6400).as_dict()
+    for key in range(0, 6400, 128):  # 50 spread keys
+        probe = key + key % 7
+        assert table.get(probe, 0) == multiplicity(space, probe)
+
+
+@pytest.mark.parametrize("space", [TETRA, DIDI])
+def test_x_long_conjugate_has_preset_table(space):
+    conjugate = swap_xz(space)
+    Lstar = dual_lattice(translation_lattice(conjugate))
+    with pytest.raises(UnsupportedGeometryError):
+        shell(Lstar, 4)  # off the (a, b, c) grid, yet the table works
+    assert spectrum_table(conjugate, 400) == spectrum_table(space, 400)
+
+
+def test_x_long_conjugates_isospectral():
+    verdict = is_isospectral(swap_xz(TETRA), swap_xz(DIDI), 400)
+    assert verdict.to_json_dict()["verdict"] == "equal"
+
+
+def test_table_probes_call_multiplicity(monkeypatch):
+    """Each new table re-checks some keys against the public per-key
+    multiplicity; a disagreement raises instead of returning the table."""
+    probed = []
+
+    def wrong(P, key):
+        probed.append(key)
+        return -1
+
+    monkeypatch.setattr(spectrum_module, "multiplicity", wrong)
+    fresh = PlatycosmPresentation("tetra-probe", TETRA.lattice, TETRA.holonomy_reps)
+    with pytest.raises(CharacterSumError):
+        spectrum_table(fresh, 40)
+    assert probed == [0]
+
+
+def test_caches_stay_within_bound():
+    ident = Isometry(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (0, 0, 0))
+    lattice = Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    for i in range(CACHE_SIZE + 10):
+        space = PlatycosmPresentation(f"torus-{i}", lattice, (ident,))
+        for bound in (i % 5, i % 5 + 5):
+            spectrum_table(space, bound)
+            twisted_classes(space, Fraction(bound + 1, 2))
+    for cache in (spectrum_module._dual_action, spectrum_module._table,
+                  _families, twisted_classes):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
 
 
 def test_spectrum_table_validation():
