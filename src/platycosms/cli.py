@@ -51,7 +51,7 @@ def _emit(text: str):
 
 
 def _emit_json(payload) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n")
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _t_values(args) -> list[float]:

@@ -28,7 +28,6 @@ from .linalg import (
     Vec3,
     det3,
     dot,
-    fraction_from_str,
     fraction_to_str,
     hnf_rows,
     inv3,
@@ -336,27 +335,16 @@ def preset(name: str) -> PlatycosmPresentation:
 
 
 def translation_lattice(P: PlatycosmPresentation) -> Lattice:
-    """Maximal lattice of pure translations in the deck group.
+    """Maximal lattice of pure translations in the deck group, on its
+    Hermite normal form basis.
 
-    Closes the stored lattice under all two-fold products of holonomy reps
-    whose rotational part is the identity (lattice shifts included for
-    free, since the generated lattice contains the stored one).  Iterates
-    to a fixpoint and verifies it, which re-checks sufficiency of the
-    two-fold products.
+    This is the stored lattice itself: validation proves that every
+    product of reps whose rotational part is the identity lies in it, and
+    that the rotational parts are pairwise distinct, so a deck element
+    with identity rotation is the identity rep shifted by a lattice
+    vector.
     """
-    lat = P.lattice
-    for _ in range(5):
-        gens = list(lat.basis)
-        for g in P.holonomy_reps:
-            for h in P.holonomy_reps:
-                gh = compose(g, h)
-                if gh.is_translation:
-                    gens.append(gh.trans)
-        new = lattice_from_generators(gens)
-        if new.same_lattice(lat):
-            return new
-        lat = new
-    raise InvalidPresentationError("translation-lattice closure did not stabilize")
+    return lattice_from_generators(P.lattice.basis)
 
 
 def volume(P: PlatycosmPresentation) -> Fraction:
@@ -406,13 +394,11 @@ def presentation_to_json(P: PlatycosmPresentation) -> dict:
 def presentation_from_json(doc: dict) -> PlatycosmPresentation:
     try:
         name = doc["name"]
-        basis = mat(
-            [[fraction_from_str(str(c)) for c in row] for row in doc["lattice"]]
-        )
+        basis = mat([[Fraction(str(c)) for c in row] for row in doc["lattice"]])
         reps = tuple(
             Isometry(
-                mat([[fraction_from_str(str(c)) for c in row] for row in r["rot"]]),
-                vec(*(fraction_from_str(str(c)) for c in r["trans"])),
+                mat([[Fraction(str(c)) for c in row] for row in r["rot"]]),
+                vec(*(Fraction(str(c)) for c in r["trans"])),
             )
             for r in doc["reps"]
         )

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidPresentationError, UnsupportedGeometryError
-from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, compose, inverse
+from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, _trusted, compose, inverse
 from .linalg import (
     IDENTITY,
     Mat3,
@@ -234,7 +234,7 @@ def _translation_canonical(P: PlatycosmPresentation, g: Isometry):
     y2 = y2 - math.floor(y2 / r) * r
     trans = vec_add(axis_part, vec_add(vec_scale(y1, w1), vec_scale(y2, w2)))
     key = (tuple(c for row in g.rot for c in row), axis_dot, y1, y2)
-    return key, Isometry(g.rot, trans)
+    return key, _trusted(g.rot, trans)
 
 
 def _unoriented_class(P: PlatycosmPresentation, g: Isometry):
@@ -325,7 +325,7 @@ def twisted_classes(
             base = vec_add(g.trans, vec_scale(n, fam.step_vector))
             for i, j in fam.coset_reps:
                 trans = vec_add(base, vec_add(vec_scale(i, w1), vec_scale(j, w2)))
-                key, witness = _unoriented_class(P, Isometry(g.rot, trans))
+                key, witness = _unoriented_class(P, _trusted(g.rot, trans))
                 classes.setdefault(key, witness)
     grouped: dict[tuple, list] = {}
     for key in sorted(classes):

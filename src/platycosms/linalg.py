@@ -7,7 +7,8 @@ Everything here is exact; no floating point enters any routine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import permutations
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -145,10 +146,6 @@ def fraction_to_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def fraction_sqrt(f: Fraction):
@@ -356,3 +353,89 @@ def solve_rational_in_lattice(
     ai = [[int(Fraction(c) * den) for c in row] for row in a]
     bi = [int(Fraction(c) * den) for c in b]
     return solve_integer(ai, bi)
+
+
+# --- integer points of positive definite quadratic forms ---------------------
+
+
+def _det(H) -> int:
+    if not H:
+        return 1
+    return sum(
+        (-1) ** j * H[0][j] * _det([row[:j] + row[j + 1:] for row in H[1:]])
+        for j in range(len(H))
+    )
+
+
+def form_points(H, lo: int, hi: int):
+    """Every integer vector y with lo <= y^T H y <= hi, as (y, y^T H y).
+
+    H is a positive definite integer matrix of size 0 to 3.  The leading
+    coordinates run over the box |y_i| <= sqrt(hi * (H^-1)_ii) that holds
+    the ellipsoid; the last one is solved from the quadratic, so a single
+    shell (lo = hi) costs one integer square root per box point.
+    """
+    n = len(H)
+    if n == 0:
+        if lo <= 0 <= hi:
+            yield (), 0
+        return
+    det = _det(H)
+    ranges = []
+    for i in range(n - 1):
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(H) if k != i]
+        bound = isqrt(hi * _det(minor) // det)
+        ranges.append(range(-bound, bound + 1))
+    # heads: (leading coordinates, their cross term with the last one,
+    # their own part of the form)
+    if n == 1:
+        heads = [((), 0, 0)]
+    elif n == 2:
+        heads = (((a,), H[1][0] * a, H[0][0] * a * a) for a in ranges[0])
+    else:
+        h00, h01, h11, h20, h21 = H[0][0], H[0][1], H[1][1], H[2][0], H[2][1]
+        heads = (
+            ((a, b), h20 * a + h21 * b, (h00 * a + 2 * h01 * b) * a + h11 * b * b)
+            for a in ranges[0]
+            for b in ranges[1]
+        )
+    q = H[-1][-1]
+    for head, lin, const in heads:
+        # q * (y^T H y) = (q*y_last + lin)^2 + q*const - lin^2
+        outer = lin * lin + q * (hi - const)
+        if outer < 0:
+            continue
+        s = isqrt(outer)
+        inner = lin * lin + q * (lo - const)
+        r = isqrt(inner - 1) + 1 if inner > 0 else 0  # least r with r^2 >= inner
+        for u_lo, u_hi in ((-s, s),) if r == 0 else ((-s, -r), (r, s)):
+            for y in range(-((lin - u_lo) // q), (u_hi - lin) // q + 1):
+                yield head + (y,), const + y * (q * y + 2 * lin)
+
+
+def size_reduce(rows, ip) -> list:
+    """Pairwise size-reduced basis of the lattice spanned by `rows` under
+    the inner product `ip`, longest vector first.  Every step is
+    unimodular and strictly shortens a vector, so it terminates."""
+    rows = [tuple(r) for r in rows]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(len(rows)), 2):
+            mu = round(Fraction(ip(rows[i], rows[j]), ip(rows[j], rows[j])))
+            if mu:
+                rows[i] = tuple(a - mu * b for a, b in zip(rows[i], rows[j]))
+                changed = True
+    return sorted(rows, key=lambda r: ip(r, r), reverse=True)
+
+
+def reduced_gram(basis: Sequence[Vec3]):
+    """(reduced basis, G, den) for the lattice spanned by the rational rows
+    `basis`: a size-reduced basis and its Gram matrix G / den, with G an
+    integer matrix.  Norms of lattice points are then y^T G y / den for
+    integer coordinates y, ready for `form_points`."""
+    den = lcm(*(Fraction(c).denominator for row in basis for c in row))
+    rows = size_reduce([[int(c * den) for c in row] for row in basis], dot)
+    gram = tuple(tuple(dot(u, w) for w in rows) for u in rows)
+    reduced = [tuple(Fraction(c, den) for c in row) for row in rows]
+    return reduced, gram, den * den

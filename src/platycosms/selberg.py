@@ -44,7 +44,7 @@ from typing import Optional
 from .errors import CutoffBudgetError
 from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice
 from .geodesics import _families, twist_factor, twisted_classes, weight
-from .linalg import dot, fraction_to_str, inv3, transpose, vec
+from .linalg import dot, form_points, fraction_to_str, reduced_gram
 from .spectrum import circle_spectrum, spectrum_table
 
 __all__ = [
@@ -83,10 +83,10 @@ class HeatTraceConfig:
     geometric_cutoff: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.t > 0):
-            raise ValueError("heat time t must be positive")
-        if not (self.eps > 0):
-            raise ValueError("target accuracy eps must be positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError("heat time t must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("target accuracy eps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -128,30 +128,13 @@ def cylinder_heat_integral(length, twist_over_pi, t: float, upper=None) -> float
     return l * f * (math.exp(-l * l / (4 * t)) - top) / (8 * math.sqrt(math.pi * t))
 
 
-def _lattice_points_within(L: Lattice, radius: Fraction):
-    """All (point, |point|^2) with point in L and |point| <= radius; exact."""
-    if radius < 0:
-        return
-    # rows of inv(basis^T) form the dual basis; coordinate i of a lattice
-    # point lam is <lam, d_i>, bounded by radius*|d_i| (Cauchy-Schwarz)
-    dual = [vec(*row) for row in inv3(transpose(L.basis))]
-    r2 = radius * radius
-    bounds = [math.isqrt(math.floor(r2 * dot(d, d))) + 1 for d in dual]
-    for n0 in range(-bounds[0], bounds[0] + 1):
-        for n1 in range(-bounds[1], bounds[1] + 1):
-            for n2 in range(-bounds[2], bounds[2] + 1):
-                p = L.from_coords((n0, n1, n2))
-                norm2 = dot(p, p)
-                if norm2 <= r2:
-                    yield p, norm2
-
-
 def lattice_count(L: Lattice, s) -> int:
     """Exact number of lattice vectors of Euclidean norm <= s."""
     s = Fraction(s)
     if s < 0:
         raise ValueError("radius must be nonnegative")
-    return sum(1 for _ in _lattice_points_within(L, s))
+    _, gram, den = reduced_gram(L.basis)
+    return sum(1 for _ in form_points(gram, 0, math.floor(s * s * den)))
 
 
 # --- certified tail machinery -------------------------------------------------
@@ -176,6 +159,8 @@ def _sum_with_ratio_majorant(term, ratio, max_terms: int = 100_000) -> float:
 def _spectral_tail(K: int, t: float) -> float:
     """Bound on sum_{key>K} mult(key) e^(-pi^2 key t), using mult <= 8*key."""
     q = math.exp(-math.pi * math.pi * t)
+    if q == 1.0:
+        return math.inf  # 1 - q rounds to 0: no finite bound at this t
     qk = math.exp(-math.pi * math.pi * t * (K + 1))
     return 8.0 * qk * ((K + 1) / (1.0 - q) + q / (1.0 - q) ** 2)
 
@@ -260,16 +245,15 @@ def _geometric_cutoff(
     P: PlatycosmPresentation, t: float, eps: float, lat: Lattice, vol: Fraction
 ) -> float:
     S = max(1.0, 2.0 * math.sqrt(2 * t))
-    while True:
+    while S <= GEOMETRIC_RADIUS_BUDGET:
         jump_tail, cyl_tail = _geometric_tails(P, S, t, lat, vol)
         if jump_tail < eps / 4 and cyl_tail < eps / 4:
             return S
         S += 0.5
-        if S > GEOMETRIC_RADIUS_BUDGET:
-            raise CutoffBudgetError(
-                f"geometric radius exceeds {GEOMETRIC_RADIUS_BUDGET}; "
-                "increase t or eps"
-            )
+    raise CutoffBudgetError(
+        f"geometric radius at t = {t:g} exceeds {GEOMETRIC_RADIUS_BUDGET}; "
+        "decrease t or increase eps"
+    )
 
 
 # --- the two trace evaluators -------------------------------------------------
@@ -302,9 +286,11 @@ def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> Heat
     S_frac = Fraction(math.ceil(2 * S), 2)
     t = cfg.t
     prefactor = float(vol) / (4 * math.pi * t) ** 1.5
+    # |lam|^2 = n / den exactly, and int / int is correctly rounded
+    _, gram, den = reduced_gram(lat.basis)
     jump = prefactor * math.fsum(
-        math.exp(-float(norm2) / (4 * t))
-        for _, norm2 in _lattice_points_within(lat, S_frac)
+        math.exp(-n / den / (4 * t))
+        for _, n in form_points(gram, 0, math.floor(S_frac * S_frac * den))
     )
     # included classes integrate to infinity (no truncation error); the
     # tail bound covers only classes longer than S_frac
@@ -328,7 +314,7 @@ def circle_heat_trace(circumference, cfg: HeatTraceConfig) -> HeatTrace:
     def tail(N: int) -> float:
         first = 2 * math.exp(-math.pi * math.pi * step * (N + 1) ** 2 * t)
         ratio = math.exp(-math.pi * math.pi * step * (2 * N + 3) * t)
-        return first / (1.0 - ratio)
+        return math.inf if ratio == 1.0 else first / (1.0 - ratio)
 
     N = 1
     while tail(N) >= eps / 2:

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
@@ -53,7 +52,10 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation, translation_lattice
-from .linalg import Vec3, dot, integer_kernel, inv3, mat_vec, transpose, vec
+from .linalg import (
+    Vec3, dot, form_points, integer_kernel, inv3, mat_vec, reduced_gram, size_reduce,
+    transpose, vec,
+)
 
 __all__ = [
     "DualVector",
@@ -195,90 +197,15 @@ def dual_lattice(L: Lattice) -> Lattice:
     return Lattice(inv3(transpose(L.basis)))
 
 
-# --- integer points of positive definite quadratic forms ---------------------
-
-
-def _det(H) -> int:
-    if not H:
-        return 1
-    return sum(
-        (-1) ** j * H[0][j] * _det([row[:j] + row[j + 1:] for row in H[1:]])
-        for j in range(len(H))
-    )
-
-
-def _points(H, lo: int, hi: int):
-    """Every integer vector y with lo <= y^T H y <= hi, as (y, y^T H y).
-
-    H is a positive definite integer matrix of size 0 to 3.  The leading
-    coordinates run over the box |y_i| <= sqrt(hi * (H^-1)_ii) that holds
-    the ellipsoid; the last one is solved from the quadratic, so a single
-    shell (lo = hi) costs one integer square root per box point.
-    """
-    n = len(H)
-    if n == 0:
-        if lo <= 0 <= hi:
-            yield (), 0
-        return
-    det = _det(H)
-    ranges = []
-    for i in range(n - 1):
-        minor = [row[:i] + row[i + 1:] for k, row in enumerate(H) if k != i]
-        bound = isqrt(hi * _det(minor) // det)
-        ranges.append(range(-bound, bound + 1))
-    # heads: (leading coordinates, their cross term with the last one,
-    # their own part of the form)
-    if n == 1:
-        heads = [((), 0, 0)]
-    elif n == 2:
-        heads = (((a,), H[1][0] * a, H[0][0] * a * a) for a in ranges[0])
-    else:
-        h00, h01, h11, h20, h21 = H[0][0], H[0][1], H[1][1], H[2][0], H[2][1]
-        heads = (
-            ((a, b), h20 * a + h21 * b, (h00 * a + 2 * h01 * b) * a + h11 * b * b)
-            for a in ranges[0]
-            for b in ranges[1]
-        )
-    q = H[-1][-1]
-    for head, lin, const in heads:
-        # q * (y^T H y) = (q*y_last + lin)^2 + q*const - lin^2
-        outer = lin * lin + q * (hi - const)
-        if outer < 0:
-            continue
-        s = isqrt(outer)
-        inner = lin * lin + q * (lo - const)
-        r = isqrt(inner - 1) + 1 if inner > 0 else 0  # least r with r^2 >= inner
-        for u_lo, u_hi in ((-s, s),) if r == 0 else ((-s, -r), (r, s)):
-            for y in range(-((lin - u_lo) // q), (u_hi - lin) // q + 1):
-                yield head + (y,), const + y * (q * y + 2 * lin)
-
-
-def _reduce(rows, ip) -> list:
-    """Pairwise size-reduced basis of the lattice spanned by `rows` under
-    the inner product `ip`, longest vector first.  Every step is
-    unimodular and strictly shortens a vector, so it terminates."""
-    rows = [tuple(r) for r in rows]
-    changed = True
-    while changed:
-        changed = False
-        for i, j in permutations(range(len(rows)), 2):
-            mu = round(Fraction(ip(rows[i], rows[j]), ip(rows[j], rows[j])))
-            if mu:
-                rows[i] = tuple(a - mu * b for a, b in zip(rows[i], rows[j]))
-                changed = True
-    return sorted(rows, key=lambda r: ip(r, r), reverse=True)
-
-
 def _gram_coordinates(Lstar: Lattice):
     """(reduced basis, Q = 4 * its Gram matrix as integers)."""
-    basis = _reduce(Lstar.basis, dot)
-    gram = [[4 * dot(u, w) for w in basis] for u in basis]
-    if any(c.denominator != 1 for row in gram for c in row):
+    basis, gram, den = reduced_gram(Lstar.basis)
+    if any(4 * c % den for row in gram for c in row):
         raise UnsupportedGeometryError(
             "4 x Gram matrix of the dual lattice is not integral, so norm keys "
             "are not integers"
         )
-    return basis, tuple(tuple(int(c) for c in row) for row in gram)
+    return basis, tuple(tuple(4 * c // den for c in row) for row in gram)
 
 
 def _require_grid(Lstar: Lattice) -> None:
@@ -297,7 +224,7 @@ def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
     _require_grid(Lstar)
     basis, gram = _gram_coordinates(Lstar)
     out = []
-    for x, _ in _points(gram, key, key):
+    for x, _ in form_points(gram, key, key):
         v = [sum(xi * d[k] for xi, d in zip(x, basis)) for k in range(3)]
         out.append(DualVector(int(v[0]), int(v[1]), int(2 * v[2])))
     return tuple(sorted(out))
@@ -343,7 +270,7 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
         cols = [lattice.coords(mat_vec(transpose(g.rot), d)) for d in basis]
         M = tuple(tuple(int(cols[j][i]) for j in range(3)) for i in range(3))
         phase = tuple(int(c * den) for c in phase)
-        fixed = _reduce(
+        fixed = size_reduce(
             integer_kernel([[M[i][j] - (i == j) for j in range(3)] for i in range(3)]), ip
         )
         actions.append(_RepAction(
@@ -393,7 +320,7 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     if key < 0:
         raise ValueError("norm keys are nonnegative")
     data = _dual_action(P)
-    re, im = _character_sum(data, (x for x, _ in _points(data.gram, key, key)))
+    re, im = _character_sum(data, (x for x, _ in form_points(data.gram, key, key)))
     return _finalize(key, re, im, data.m)
 
 
@@ -424,7 +351,7 @@ def _shell_sizes(gram, max_key: int) -> dict[int, int]:
     """|shell(key)| for every key <= max_key whose shell is not empty."""
     if any(gram[i][j] for i in range(3) for j in range(3) if i != j):
         sizes: dict[int, int] = {}
-        for _, key in _points(gram, 0, max_key):
+        for _, key in form_points(gram, 0, max_key):
             sizes[key] = sizes.get(key, 0) + 1
         return sizes
     # diagonal: convolve the counts of q*y^2, the sparsest (largest q) first
@@ -447,7 +374,7 @@ def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
     re = _shell_sizes(data.gram, max_key)
     im: dict[int, int] = {}
     for act in data.actions[1:]:
-        for y, key in _points(act.fixed_gram, 0, max_key):
+        for y, key in form_points(act.fixed_gram, 0, max_key):
             r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), data.den)
             re[key] += _RE[r]
             im[key] = im.get(key, 0) + _IM[r]

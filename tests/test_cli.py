@@ -280,3 +280,20 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("exercise", "--t", "inf"),
+    ("exercise", "--t", "nan"),
+    ("exercise", "--t", "1e-300"),
+    ("heat-trace", "--space", "tetra", "--t", "inf"),
+    ("heat-trace", "--space", "tetra", "--eps", "inf", "--t", "0.1"),
+    ("heat-trace", "--space", "tetra", "--t", "1e-300"),
+    ("heat-trace", "--space", "tetra", "--t", "1e300"),
+], ids=" ".join)
+def test_heat_times_out_of_reach_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "NaN" not in out and "Infinity" not in out

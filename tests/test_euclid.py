@@ -31,7 +31,9 @@ from platycosms.euclid import (
     translation_lattice,
     volume,
 )
-from platycosms.linalg import IDENTITY, dot, mat, mat_sub, rank, vec, vec_add
+from platycosms.linalg import (
+    IDENTITY, dot, mat, mat_mul, mat_sub, mat_vec, rank, vec, vec_add, vec_sub,
+)
 
 TAU = QUARTER_TURN_SCREW
 TWO_TALL_LATTICE = Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
@@ -204,6 +206,8 @@ def _brute_force_pure_translations(P, box=2):
     found = []
     for g in P.holonomy_reps:
         for h in P.holonomy_reps:
+            if mat_mul(g.rot, h.rot) != IDENTITY:
+                continue  # no shift between them gives a translation
             for n0 in range(-box, box + 1):
                 for n1 in range(-box, box + 1):
                     for n2 in range(-box, box + 1):
@@ -214,14 +218,41 @@ def _brute_force_pure_translations(P, box=2):
     return found
 
 
+def _presentations_of(P):
+    """P and other presentations of the same space: reps unreduced by
+    lattice vectors, the origin shifted by a rational vector (B, b) ->
+    (B, b + s - B s), the lattice on a unimodularly changed basis, and the
+    x <-> z swap conjugate (the only one whose lattice moves)."""
+    lat = P.lattice
+    unreduced = tuple(
+        Isometry(g.rot, vec_add(g.trans, lat.from_coords((1, -2, i)))) if i else g
+        for i, g in enumerate(P.holonomy_reps)
+    )
+    s = vec(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5))
+    shifted = tuple(
+        Isometry(g.rot, vec_add(g.trans, vec_sub(s, mat_vec(g.rot, s))))
+        for g in P.holonomy_reps
+    )
+    rebased = Lattice(mat_mul(mat([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), lat.basis))
+    return [
+        P,
+        PlatycosmPresentation(P.name, lat, unreduced),
+        PlatycosmPresentation(P.name, lat, shifted),
+        PlatycosmPresentation(P.name, rebased, P.holonomy_reps),
+    ], swap_xz(P)
+
+
 @pytest.mark.parametrize("name", ["two_tall", "tetra", "didi"])
 def test_translation_lattice_is_two_tall(name):
-    P = preset(name)
-    lat = translation_lattice(P)
-    assert lat.same_lattice(TWO_TALL_LATTICE)
-    # oracle: no product of reps and shifts yields a translation outside it
-    for trans in _brute_force_pure_translations(P):
-        assert lat.contains(trans)
+    same_space, conjugate = _presentations_of(preset(name))
+    for P in same_space + [conjugate]:
+        lat = translation_lattice(P)
+        assert lat.same_lattice(P.lattice)
+        if P is not conjugate:
+            assert lat.same_lattice(TWO_TALL_LATTICE)
+        # oracle: no product of reps and shifts yields a translation outside it
+        for trans in _brute_force_pure_translations(P):
+            assert lat.contains(trans)
 
 
 def test_repeated_rotational_parts_rejected():

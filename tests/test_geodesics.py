@@ -28,7 +28,7 @@ from platycosms.geodesics import (
 )
 from platycosms.linalg import vec
 
-from conftest import make_tricosm
+from conftest import make_tricosm, swap_xz
 
 TETRA = preset("tetra")
 DIDI = preset("didi")
@@ -203,6 +203,19 @@ def test_witnesses_are_group_elements():
     for space in (TETRA, DIDI):
         for cls in twisted_classes(space, Fraction(3)):
             assert space.contains(cls.witness)
+
+
+@pytest.mark.parametrize(
+    "space", [TETRA, DIDI, swap_xz(TETRA), swap_xz(DIDI)], ids=lambda P: P.name
+)
+def test_witnesses_equal_validated_isometries(space):
+    """Witnesses are built without re-validation; each must equal, and hash
+    like, the validated isometry with the same parts."""
+    for c in twisted_classes(space, Fraction(9, 2)):
+        w = c.witness
+        validated = Isometry(w.rot, w.trans)
+        assert w == validated and hash(w) == hash(validated)
+        assert all(type(x) is Fraction for x in (*w.trans, *(y for r in w.rot for y in r)))
 
 
 def test_max_length_must_be_positive():

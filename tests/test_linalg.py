@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from platycosms.euclid import Lattice
 from platycosms.linalg import (
     IDENTITY,
     det3,
+    dot,
     fraction_gcd,
     fraction_sqrt,
     fraction_to_str,
@@ -19,6 +21,7 @@ from platycosms.linalg import (
     nullspace,
     primitive_integer_vector,
     rank,
+    reduced_gram,
     smith_normal_form,
     solve_integer,
     solve_rational_in_lattice,
@@ -144,3 +147,20 @@ def test_fraction_helpers():
     assert fraction_to_str(Fraction(4)) == "4"
     assert primitive_integer_vector(vec(Fraction(-1, 2), 0, Fraction(3, 2))) == (1, 0, -3)
     assert primitive_integer_vector(vec(0, 0, Fraction(2))) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [[1, 1, 0], [0, 1, 2], [1, 1, 2]],
+    [[1, Fraction(1, 2), 0], [0, 1, Fraction(1, 3)], [Fraction(1, 2), 0, 1]],
+    [[5, 3, 0], [3, 2, 0], [Fraction(7, 2), 0, Fraction(1, 4)]],
+])
+def test_reduced_gram_is_a_basis_with_its_gram_matrix(rows):
+    basis, gram, den = reduced_gram(mat(rows))
+    assert Lattice(mat(basis)).same_lattice(Lattice(mat(rows)))
+    assert [[Fraction(c, den) for c in r] for r in gram] == [
+        [dot(u, w) for w in basis] for u in basis
+    ]
+    norms = [dot(b, b) for b in basis]
+    assert norms == sorted(norms, reverse=True)
+

@@ -1,6 +1,7 @@
 """Heat traces: cylinder volumes, certified truncation, trace-formula
 agreement, the counting function, and the circle identity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from platycosms.errors import CutoffBudgetError
 from platycosms.euclid import Lattice, preset, volume
-from platycosms.linalg import mat
+from platycosms.linalg import dot, inv3, mat, transpose
 from platycosms.selberg import (
     HeatTraceConfig,
     circle_heat_trace,
@@ -81,25 +82,18 @@ def test_cylinder_volume_argument_errors():
 
 
 def _brute_lattice_count(basis_rows, s):
+    """Oracle: scan a coordinate box that holds the ball.  Coordinate i of
+    a lattice point p is <p, d_i> with d_i the dual basis, so by
+    Cauchy-Schwarz |n_i| <= s*|d_i|."""
+    basis = mat(basis_rows)
+    dual = inv3(transpose(basis))
+    r2 = Fraction(s) ** 2
+    bounds = [math.isqrt(math.ceil(r2 * dot(d, d))) + 1 for d in dual]
     count = 0
-    bound = int(s) + 3
-    for n0 in range(-bound, bound + 1):
-        for n1 in range(-bound, bound + 1):
-            for n2 in range(-bound, bound + 1):
-                x = sum(
-                    n * Fraction(b)
-                    for n, b in zip((n0, n1, n2), [r[0] for r in basis_rows])
-                )
-                y = sum(
-                    n * Fraction(b)
-                    for n, b in zip((n0, n1, n2), [r[1] for r in basis_rows])
-                )
-                z = sum(
-                    n * Fraction(b)
-                    for n, b in zip((n0, n1, n2), [r[2] for r in basis_rows])
-                )
-                if x * x + y * y + z * z <= Fraction(s) ** 2:
-                    count += 1
+    for n in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        p = [sum(ni * row[k] for ni, row in zip(n, basis)) for k in range(3)]
+        if dot(p, p) <= r2:
+            count += 1
     return count
 
 
@@ -109,12 +103,22 @@ def test_lattice_count_examples():
     assert lattice_count(CUBIC_LATTICE, 1) == 7
 
 
+BRUTE_FORCE_BASES = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # a unimodular change of basis of Z x Z x 2Z
+    [[1, 1, 0], [0, 1, 2], [1, 1, 2]],
+    # Z x Z x (1/2)Z, the dual of the two-story lattice
+    [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]],
+    # a skewed rational basis
+    [[1, Fraction(1, 2), 0], [0, 1, Fraction(1, 3)], [Fraction(1, 2), 0, 1]],
+]
+
+
 @pytest.mark.parametrize("s", [Fraction(3, 2), 2, Fraction(5, 2), 3])
 def test_lattice_count_against_brute_force(s):
-    rows_tall = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
-    rows_cube = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert lattice_count(TWO_TALL_LATTICE, s) == _brute_lattice_count(rows_tall, s)
-    assert lattice_count(CUBIC_LATTICE, s) == _brute_lattice_count(rows_cube, s)
+    for rows in BRUTE_FORCE_BASES:
+        assert lattice_count(Lattice(mat(rows)), s) == _brute_lattice_count(rows, s)
 
 
 def test_lattice_count_boundary_is_exact():
