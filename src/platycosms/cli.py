@@ -71,7 +71,10 @@ def _t_values(args) -> list[float]:
 
 
 def _positive_fraction(text: str) -> Fraction:
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError("zero denominator") from exc
     if value <= 0:
         raise ValueError("must be positive")
     return value

@@ -11,10 +11,26 @@ we extract, exactly:
   imprimitivity  the largest k with witness = delta^k for a deck
                  transformation delta
 
-Conjugacy is decided exactly: conjugation by a lattice translation moves
-the screw translation by (I - B)Lambda, so classes are cosets of that
-rank-2 sublattice in the invariant plane, further folded by the finitely
-many holonomy conjugations and by inversion.
+Conjugacy is decided exactly, on Python ints.  Each twisted holonomy rep
+heads a family, and the translation lattice Lambda gets a basis adapted
+to the family's screw axis: a step vector whose axis component is the
+positive generator `step` of <Lambda, axis>, and a basis w1, w2 of
+Lambda in the axis-perpendicular plane.  In these family coordinates a
+deck element of the family is a point (n, y1, y2) of Z^3, with
+translation rep_trans + n*step_vector + y1*w1 + y2*w2 and length
+|alpha + n*step| / |axis|.  Conjugation by a lattice translation moves
+(y1, y2) by the rank-2 sublattice (I - B)Lambda, so a class under
+translation conjugacy is n together with (y1, y2) reduced modulo the
+Hermite normal form of that sublattice.
+
+Conjugation by a holonomy rep, with or without inversion, sends one
+family to another by an integer affine map of Z^3.  The 2m maps of each
+family form the class-action table, derived once per presentation from
+the holonomy rotations in lattice coordinates and the rep translations'
+lattice coordinates over one common denominator.  A class is an orbit of
+the table on the reduced candidates; its key is the least point of the
+orbit in (family, n, y1, y2) order, and only that point becomes an
+`Isometry` witness.  Imprimitivity is decided in the same coordinates.
 """
 
 from __future__ import annotations
@@ -23,29 +39,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .errors import InvalidPresentationError, UnsupportedGeometryError
-from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, _trusted, compose, inverse
+from .errors import CutoffBudgetError, InvalidPresentationError, UnsupportedGeometryError
+from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, _trusted
 from .linalg import (
     IDENTITY,
     Mat3,
-    Vec3,
     dot,
-    fraction_gcd,
     fraction_sqrt,
     fraction_to_str,
     hnf_rows,
     integer_kernel,
-    mat_mul,
+    inv3,
+    mat,
     mat_sub,
     mat_vec,
     nullspace,
     primitive_integer_vector,
-    solve_rational_in_lattice,
+    solve_integer,
+    transpose,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 __all__ = [
@@ -62,6 +77,14 @@ __all__ = [
     "balance_to_csv",
 ]
 
+# Work bound of one class enumeration: the number of candidates, i.e. the
+# values of n in range times the coset index of (I - B)Lambda, summed over
+# the families.  The geometric heat trace enumerates to at most its radius
+# budget of 64, where Tetra needs 512 candidates and Didi 1,280.  At the
+# budget an enumeration takes about 2 s and 45 MB (Didi to length 4150,
+# Python 3.11, one core).
+CLASS_CANDIDATE_BUDGET = 100_000
+
 # twist angle (over pi) from the rotation trace: cos(theta) = (tr - 1)/2
 _TWIST_FROM_COS = {
     Fraction(-1): Fraction(1),
@@ -76,6 +99,11 @@ _WEIGHT_FACTOR = {
     Fraction(1): Fraction(1),
     Fraction(1, 2): Fraction(2),
 }
+
+IntVec = tuple[int, int, int]
+IntMat = tuple[IntVec, IntVec, IntVec]
+
+_INT_IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def twist_factor(twist_over_pi: Fraction) -> Fraction:
@@ -103,29 +131,24 @@ class GeodesicClass:
         return (self.length, self.twist_over_pi, self.imprimitivity)
 
 
-@dataclass(frozen=True)
-class _TwistFamily:
-    """Exact screw-axis data for one holonomy rotation."""
+# --- small integer matrices ------------------------------------------------
 
-    rot: Mat3
-    axis: Vec3  # primitive integer direction
-    axis_norm2: int
-    axis_len: Fraction
-    twist_over_pi: Fraction
-    rep_trans: Vec3  # translation of the stored coset representative
-    alpha: Fraction  # <rep_trans, axis>
-    step: Fraction  # positive generator of <Lambda, axis>
-    step_vector: Vec3  # lattice vector with <step_vector, axis> = step
-    plane_basis: tuple[Vec3, Vec3]  # basis of Lambda intersect axis-perp
-    conj_lattice: tuple[tuple[int, int], ...]  # HNF rows of (I-B)Lambda
-    coset_reps: tuple[tuple[int, int], ...]
 
-    def min_positive_dot(self) -> Fraction:
-        """Smallest positive |alpha + step*Z| (nonzero by freeness)."""
-        r = self.alpha - self.step * math.floor(self.alpha / self.step)
-        if r == 0:
-            raise InvalidPresentationError("family contains a zero-length screw")
-        return min(r, self.step - r)
+def _imul(a: IntMat, b: IntMat) -> IntMat:
+    return tuple(
+        tuple(row[0] * b[0][j] + row[1] * b[1][j] + row[2] * b[2][j] for j in range(3))
+        for row in a
+    )  # type: ignore[return-value]
+
+
+def _iapply(a: IntMat, v) -> IntVec:
+    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in a)  # type: ignore[return-value]
+
+
+def _integral(m: Mat3, what: str) -> IntMat:
+    if any(c.denominator != 1 for row in m for c in row):
+        raise InvalidPresentationError(f"{what} is not integral in lattice coordinates")
+    return tuple(tuple(int(c) for c in row) for row in m)  # type: ignore[return-value]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -135,32 +158,47 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
-def _plane_coords(w1: Vec3, w2: Vec3, v: Vec3) -> tuple[Fraction, Fraction]:
-    """Coordinates of v in the plane spanned by w1, w2 (v must lie in it)."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = w1[i] * w2[j] - w1[j] * w2[i]
-        if det != 0:
-            y1 = (v[i] * w2[j] - v[j] * w2[i]) / det
-            y2 = (w1[i] * v[j] - w1[j] * v[i]) / det
-            k = 3 - i - j
-            if w1[k] * y1 + w2[k] * y2 != v[k]:
-                raise ValueError("vector does not lie in the invariant plane")
-            return y1, y2
-    raise ValueError("degenerate plane basis")
+# --- twist families and the class-action table ------------------------------
 
 
-def _build_family(P: PlatycosmPresentation, g: Isometry) -> _TwistFamily:
+@dataclass(frozen=True)
+class _TwistFamily:
+    """Exact screw-axis data for one holonomy rotation, with the family
+    coordinates: lattice coordinates x = basis . (n, y1, y2)."""
+
+    rot: Mat3
+    axis_len: Fraction
+    twist_over_pi: Fraction
+    alpha: Fraction  # <rep translation, axis>
+    step: Fraction  # positive generator of <Lambda, axis>
+    axis_form: IntVec  # integer multiple of x -> <x, axis> on lattice coordinates
+    basis: IntMat  # columns: step vector, w1, w2 in lattice coordinates
+    basis_inv: IntMat
+    conj_lattice: tuple[tuple[int, int], ...]  # HNF rows of (I-B)Lambda in (y1, y2)
+
+    @property
+    def index(self) -> int:
+        """Number of translation-conjugacy classes for each n."""
+        (p, _), (_, r) = self.conj_lattice
+        return p * r
+
+    def min_positive_dot(self) -> Fraction:
+        """Smallest positive |alpha + step*Z| (nonzero by freeness)."""
+        r = self.alpha - self.step * math.floor(self.alpha / self.step)
+        if r == 0:
+            raise InvalidPresentationError("family contains a zero-length screw")
+        return min(r, self.step - r)
+
+
+def _build_family(P: PlatycosmPresentation, g: Isometry, rot_coords: IntMat) -> _TwistFamily:
     B = g.rot
-    diff = mat_sub(IDENTITY, B)
-    kernel = nullspace(diff)
+    kernel = nullspace(mat_sub(IDENTITY, B))
     if len(kernel) != 1:
         raise UnsupportedGeometryError(
             "twisted holonomy must be a rotation with a one-dimensional axis"
         )
-    axis_ints = primitive_integer_vector(kernel[0])
-    axis = vec(*axis_ints)
-    axis_norm2 = int(dot(axis, axis))
-    axis_len = fraction_sqrt(Fraction(axis_norm2))
+    axis = vec(*primitive_integer_vector(kernel[0]))
+    axis_len = fraction_sqrt(dot(axis, axis))
     if axis_len is None:
         raise UnsupportedGeometryError("screw axis has irrational length scale")
     trace = B[0][0] + B[1][1] + B[2][2]
@@ -168,87 +206,203 @@ def _build_family(P: PlatycosmPresentation, g: Isometry) -> _TwistFamily:
     if twist is None:
         raise UnsupportedGeometryError("twist is not a rational multiple of pi")
 
-    basis = P.lattice.basis
-    dots = [dot(b, axis) for b in basis]
-    step = fraction_gcd(dots)
-    den = 1
-    for q in dots:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    ints = [int(q * den) for q in dots]
+    dots = [dot(b, axis) for b in P.lattice.basis]
+    den = math.lcm(*(q.denominator for q in dots))
+    ints = tuple(int(q * den) for q in dots)
     g12, x1, x2 = _ext_gcd(ints[0], ints[1])
-    _g, y12, y3 = _ext_gcd(g12, ints[2])
-    coeffs = (x1 * y12, x2 * y12, y3)
-    step_vector = P.lattice.from_coords(coeffs)
-    assert dot(step_vector, axis) == step
+    gcd_all, y12, y3 = _ext_gcd(g12, ints[2])
+    step_coords = (x1 * y12, x2 * y12, y3)
+    w1, w2 = integer_kernel([ints])
+    # step_coords maps to gcd_all under the form and w1, w2 span its kernel,
+    # so the three columns are a basis of Z^3
+    basis = tuple(zip(step_coords, w1, w2))
+    basis_inv = _integral(inv3(mat(basis)), "family basis inverse")
 
-    plane_coord_basis = integer_kernel([ints])
-    w1 = P.lattice.from_coords(plane_coord_basis[0])
-    w2 = P.lattice.from_coords(plane_coord_basis[1])
-
-    rows = []
-    for b in basis:
-        y1, y2 = _plane_coords(w1, w2, mat_vec(diff, b))
-        if y1.denominator != 1 or y2.denominator != 1:
-            raise InvalidPresentationError("holonomy does not preserve the lattice")
-        rows.append([int(y1), int(y2)])
-    H = hnf_rows(rows)
+    # (I - B)Lambda: columns of basis_inv . (I - A), all with n = 0
+    diff = _imul(basis_inv, tuple(
+        tuple(int(i == j) - rot_coords[i][j] for j in range(3)) for i in range(3)
+    ))
+    H = hnf_rows([[diff[1][k], diff[2][k]] for k in range(3)])
     if len(H) != 2 or H[1][0] != 0 or H[0][0] <= 0 or H[1][1] <= 0:
         raise UnsupportedGeometryError("conjugation sublattice is not rank 2")
-    reps = tuple((i, j) for i in range(H[0][0]) for j in range(H[1][1]))
     return _TwistFamily(
         rot=B,
-        axis=axis,
-        axis_norm2=axis_norm2,
         axis_len=axis_len,
         twist_over_pi=twist,
-        rep_trans=g.trans,
         alpha=dot(g.trans, axis),
-        step=step,
-        step_vector=step_vector,
-        plane_basis=(w1, w2),
+        step=Fraction(gcd_all, den),
+        axis_form=ints,
+        basis=basis,
+        basis_inv=basis_inv,
         conj_lattice=tuple(tuple(r) for r in H),
-        coset_reps=reps,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _ClassTable:
+    """What class enumeration and imprimitivity need about one
+    presentation, derived once.  Family i is holonomy rep i + 1; lattice
+    coordinates of rep translations are stored times `den`, their common
+    denominator."""
+
+    families: Mapping[Mat3, _TwistFamily]  # read-only, by rotation
+    fams: tuple[_TwistFamily, ...]
+    den: int
+    rot_coords: tuple[IntMat, ...]  # each family's rotation on lattice coordinates
+    trans_coords: tuple[IntVec, ...]  # den * lattice coordinates of the rep translation
+    # (a, g) with axis_form . X = a + n*g for the family point (n, y1, y2),
+    # X the scaled lattice coordinates of its translation; a length is
+    # |a + n*g| times the family's unit
+    screws: tuple[tuple[int, int], ...]
+    units: tuple[Fraction, ...]
+    # Cartesian translation = cartesian . X / cartesian_den
+    cartesian: IntMat
+    cartesian_den: int
+    # per family, 2m entries (image family, T row-major, e), 13 ints: the
+    # conjugate by one rep of the point z, or of its inverse, is T z + e
+    actions: tuple[tuple[tuple, ...], ...]
+    # per family r of rotation order o: the family index of A_r^j (None for
+    # the identity) for j < o, and the power sums I + ... + A_r^(j-1), j <= o
+    roots: tuple[tuple[tuple, tuple], ...]
+    # least length over all families; building it refuses a zero-length screw
+    shortest: Optional[Fraction]
+
+
+def _actions(
+    fams, den: int, rot_coords, trans_coords, rot_index, rep_of_rot
+) -> tuple[tuple[tuple, ...], ...]:
+    """The class-action table.  With X = c + x the lattice coordinates of
+    a translation (c those of the rep, x integral), inverting sends
+    (A, X) to (A^-1, -A^-1 X) and conjugating by the rep (A_h, c_h) sends
+    (A, X) to (A_h A A_h^-1, A_h X + c_h - A_h A A_h^-1 c_h); both are
+    affine in x, and the offset from the image rep is integral."""
+    m = len(rot_coords)
+    table = []
+    for j, fam in enumerate(fams):
+        rj = j + 1
+        entries = []
+        for h in range(m):
+            A_h, c_h = rot_coords[h], trans_coords[h]
+            A_h_inv = rot_coords[rep_of_rot[h]]
+            for invert in (False, True):
+                if invert:
+                    neg = _imul(A_h, rot_coords[rep_of_rot[rj]])
+                    linear = tuple(tuple(-c for c in row) for row in neg)
+                    rot = _imul(neg, A_h_inv)
+                else:
+                    linear = A_h
+                    rot = _imul(_imul(A_h, rot_coords[rj]), A_h_inv)
+                ri = rot_index[rot]
+                shift = [
+                    a + b - c - d
+                    for a, b, c, d in zip(
+                        _iapply(linear, trans_coords[rj]),
+                        c_h,
+                        _iapply(rot, c_h),
+                        trans_coords[ri],
+                    )
+                ]
+                if any(s % den for s in shift):
+                    raise InvalidPresentationError(
+                        "coset representatives are not closed modulo the lattice"
+                    )
+                image = fams[ri - 1]
+                T = _imul(image.basis_inv, _imul(linear, fam.basis))
+                e = _iapply(image.basis_inv, [s // den for s in shift])
+                entries.append((ri - 1, *T[0], *T[1], *T[2], *e))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _powers(A: IntMat, rot_index) -> tuple[tuple, tuple]:
+    """Powers of A up to its order, as family indices, and the power sums,
+    accumulated once: A^k and the k-th sum follow from k mod the order."""
+    families, sums = [], [((0, 0, 0),) * 3]
+    power = _INT_IDENTITY
+    while True:
+        families.append(rot_index[power] - 1 if power != _INT_IDENTITY else None)
+        sums.append(tuple(tuple(a + b for a, b in zip(ra, rb))
+                          for ra, rb in zip(sums[-1], power)))
+        power = _imul(power, A)
+        if power == _INT_IDENTITY:
+            return tuple(families), tuple(sums)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _families(P: PlatycosmPresentation) -> dict[Mat3, _TwistFamily]:
-    return {g.rot: _build_family(P, g) for g in P.holonomy_reps if not g.is_identity}
+def _class_table(P: PlatycosmPresentation) -> _ClassTable:
+    reps = P.holonomy_reps
+    rot_coords = tuple(
+        _integral(transpose([P.lattice.coords(mat_vec(g.rot, b)) for b in P.lattice.basis]),
+                  "holonomy rotation")
+        for g in reps
+    )
+    coords = [P.lattice.coords(g.trans) for g in reps]
+    den = math.lcm(*(c.denominator for x in coords for c in x))
+    trans_coords = tuple(tuple(int(c * den) for c in x) for x in coords)
+    fams = tuple(_build_family(P, g, rot_coords[i]) for i, g in enumerate(reps) if i)
+    rot_index = {A: i for i, A in enumerate(rot_coords)}
+    by_rot = {g.rot: i for i, g in enumerate(reps)}
+    rep_of_rot = tuple(by_rot[transpose(g.rot)] for g in reps)  # inverse rotations
+    screws = tuple(
+        (sum(a * c for a, c in zip(fam.axis_form, trans_coords[i + 1])),
+         den * math.gcd(*fam.axis_form))
+        for i, fam in enumerate(fams)
+    )
+    basis_den = math.lcm(*(c.denominator for row in P.lattice.basis for c in row))
+    return _ClassTable(
+        families=MappingProxyType({fam.rot: fam for fam in fams}),
+        fams=fams,
+        den=den,
+        rot_coords=rot_coords[1:],
+        trans_coords=trans_coords[1:],
+        screws=screws,
+        units=tuple(fam.step / (g * fam.axis_len) for fam, (_, g) in zip(fams, screws)),
+        cartesian=transpose(tuple(tuple(int(c * basis_den) for c in row)
+                                  for row in P.lattice.basis)),
+        cartesian_den=den * basis_den,
+        actions=_actions(fams, den, rot_coords, trans_coords, rot_index, rep_of_rot),
+        roots=tuple(_powers(A, rot_index) for A in rot_coords[1:]),
+        shortest=min((f.min_positive_dot() / f.axis_len for f in fams), default=None),
+    )
 
 
-def _translation_canonical(P: PlatycosmPresentation, g: Isometry):
-    """Canonical form of g modulo conjugation by lattice translations.
-
-    Those conjugations shift the translation part by (I - B)Lambda, a
-    rank-2 sublattice of the axis-perpendicular plane; the axis component
-    is invariant.  Returns (orderable key, canonical witness).
-    """
-    fam = _families(P)[g.rot]
-    axis_dot = dot(g.trans, fam.axis)
-    axis_part = vec_scale(axis_dot / fam.axis_norm2, fam.axis)
-    w1, w2 = fam.plane_basis
-    y1, y2 = _plane_coords(w1, w2, vec_sub(g.trans, axis_part))
-    (p, q), (_, r) = fam.conj_lattice
-    k = math.floor(y1 / p)
-    y1, y2 = y1 - k * p, y2 - k * q
-    y2 = y2 - math.floor(y2 / r) * r
-    trans = vec_add(axis_part, vec_add(vec_scale(y1, w1), vec_scale(y2, w2)))
-    key = (tuple(c for row in g.rot for c in row), axis_dot, y1, y2)
-    return key, _trusted(g.rot, trans)
+def _families(P: PlatycosmPresentation) -> Mapping[Mat3, _TwistFamily]:
+    """The twist families of P by rotation, as a read-only mapping."""
+    return _class_table(P).families
 
 
-def _unoriented_class(P: PlatycosmPresentation, g: Isometry):
-    """Minimal canonical form over holonomy conjugation and inversion."""
-    best = None
-    for h in P.holonomy_reps:
-        h_inv = inverse(h)
-        for elem in (g, inverse(g)):
-            key, witness = _translation_canonical(
-                P, compose(compose(h, elem), h_inv)
-            )
-            if best is None or key < best[0]:
-                best = (key, witness)
-    return best
+# --- imprimitivity ------------------------------------------------------------
+
+
+def _divisors(u: int, k_max: int) -> list[int]:
+    """Divisors k of u with 2 <= k <= k_max, largest first."""
+    u = abs(u)
+    small = [d for d in range(1, math.isqrt(u) + 1) if u % d == 0]
+    found = {k for d in small for k in (d, u // d) if 2 <= k <= k_max}
+    return sorted(found, reverse=True)
+
+
+def _imprimitivity(table: _ClassTable, w: int, X, axis_value: int, k_max: int) -> int:
+    """Imprimitivity of the element of family w whose translation has
+    scaled lattice coordinates X and scaled axis value `axis_value`: the
+    largest k <= k_max for which some root r with A_r^k = A_w makes the
+    power equation S mu = X - S c_r, S = I + A_r + ... + A_r^(k-1),
+    solvable in integers (Smith reduction).  A root's axis value times k
+    is the witness's, and roots of one axis share its step, so k divides
+    the scaled axis value and a congruence sorts out the roots."""
+    g = table.screws[w][1]
+    for k in _divisors(axis_value, k_max):
+        for r, (powers, sums) in enumerate(table.roots):
+            q, j = divmod(k, len(powers))
+            if powers[j] != w or (axis_value // k - table.screws[r][0]) % g:
+                continue
+            S = [[q * p + s for p, s in zip(row_p, row_s)]
+                 for row_p, row_s in zip(sums[-1], sums[j])]
+            shift = _iapply(S, table.trans_coords[r])
+            scaled = [[table.den * c for c in row] for row in S]
+            if solve_integer(scaled, [x - s for x, s in zip(X, shift)]) is not None:
+                return k
+    return 1
 
 
 def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
@@ -263,43 +417,67 @@ def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
         raise ValueError("imprimitivity is defined for twisted elements only")
     if not P.contains(witness):
         raise ValueError("witness is not an element of the deck group")
-    fams = _families(P)
-    fam = fams[witness.rot]
-    length_dot = abs(dot(witness.trans, fam.axis))
-    min_dot_over_len = min(
-        f.min_positive_dot() / f.axis_len for f in fams.values()
-    )
-    length = length_dot / fam.axis_len
-    k_max = math.floor(length / min_dot_over_len)
-    basis = P.lattice.basis
-    for k in range(k_max, 1, -1):
-        for root in P.holonomy_reps[1:]:
-            if _mat_pow(root.rot, k) != witness.rot:
-                continue
-            # columns of the power-sum matrix in lattice coordinates
-            cols = [_power_sum_apply(root.rot, k, b) for b in basis]
-            rows = [[cols[j][i] for j in range(3)] for i in range(3)]
-            rhs = vec_sub(witness.trans, _power_sum_apply(root.rot, k, root.trans))
-            if solve_rational_in_lattice(rows, rhs) is not None:
-                return k
-    return 1
+    table = _class_table(P)
+    w = next(i for i, fam in enumerate(table.fams) if fam.rot == witness.rot)
+    X = [int(c * table.den) for c in P.lattice.coords(witness.trans)]
+    axis_value = sum(a * x for a, x in zip(table.fams[w].axis_form, X))
+    k_max = math.floor(abs(axis_value) * table.units[w] / table.shortest)
+    return _imprimitivity(table, w, X, axis_value, k_max)
 
 
-def _mat_pow(B: Mat3, k: int) -> Mat3:
-    out = IDENTITY
-    for _ in range(k):
-        out = mat_mul(B, out)
-    return out
+# --- class enumeration -----------------------------------------------------------
 
 
-def _power_sum_apply(B: Mat3, k: int, v: Vec3) -> Vec3:
-    """(I + B + ... + B^(k-1)) v."""
-    total = vec(0, 0, 0)
-    current = vec(*v)
-    for _ in range(k):
-        total = vec_add(total, current)
-        current = mat_vec(B, current)
-    return total
+def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
+    """((length, twist, imprimitivity), witness) for every unoriented
+    twisted class with length <= max_length, in key order."""
+    table = _class_table(P)
+    if not table.fams:
+        return []
+    ranges = []
+    for fam in table.fams:
+        bound = max_length * fam.axis_len
+        ranges.append(range(math.ceil((-bound - fam.alpha) / fam.step),
+                            math.floor((bound - fam.alpha) / fam.step) + 1))
+    candidates = sum(len(ns) * fam.index for ns, fam in zip(ranges, table.fams))
+    if candidates > CLASS_CANDIDATE_BUDGET:
+        raise CutoffBudgetError(
+            f"class enumeration to length {fraction_to_str(max_length)} needs "
+            f"{candidates} candidates, over the budget of {CLASS_CANDIDATE_BUDGET}"
+        )
+
+    # Every image of a candidate is a candidate (conjugation and inversion
+    # keep the length), and candidates are visited in key order, so the
+    # first unseen one is the least point of its orbit.
+    hnf = [fam.conj_lattice for fam in table.fams]
+    seen = set()
+    keys = []
+    for f, (fam, ns) in enumerate(zip(table.fams, ranges)):
+        (p, _), (_, q) = fam.conj_lattice
+        acts = table.actions[f]
+        for n in ns:
+            for y1 in range(p):
+                for y2 in range(q):
+                    key = (f, n, y1, y2)
+                    if key in seen:
+                        continue
+                    keys.append(key)
+                    for i, t00, t01, t02, t10, t11, t12, t20, t21, t22, e0, e1, e2 in acts:
+                        (pi, qi), (_, ri) = hnf[i]
+                        c, z1 = divmod(t10 * n + t11 * y1 + t12 * y2 + e1, pi)
+                        z2 = (t20 * n + t21 * y1 + t22 * y2 + e2 - c * qi) % ri
+                        seen.add((i, t00 * n + t01 * y1 + t02 * y2 + e0, z1, z2))
+
+    census = []
+    for f, *z in keys:
+        fam = table.fams[f]
+        X = [c + table.den * x for c, x in zip(table.trans_coords[f], _iapply(fam.basis, z))]
+        a, g = table.screws[f]
+        length = abs(a + z[0] * g) * table.units[f]
+        k = _imprimitivity(table, f, X, a + z[0] * g, math.floor(length / table.shortest))
+        trans = tuple(Fraction(v, table.cartesian_den) for v in _iapply(table.cartesian, X))
+        census.append(((length, fam.twist_over_pi, k), _trusted(fam.rot, trans)))
+    return census
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -307,32 +485,15 @@ def twisted_classes(
     P: PlatycosmPresentation, max_length: Fraction
 ) -> tuple[GeodesicClass, ...]:
     """All unoriented twisted conjugacy classes with length <= max_length,
-    aggregated by (length, twist, imprimitivity), sorted by that signature."""
+    aggregated by (length, twist, imprimitivity), sorted by that signature.
+
+    Raises CutoffBudgetError when the enumeration would visit more than
+    CLASS_CANDIDATE_BUDGET candidates."""
     max_length = Fraction(max_length)
     if max_length <= 0:
         raise ValueError("max_length must be positive")
-    fams = _families(P)
-    classes: dict[tuple, Isometry] = {}
-    for g in P.holonomy_reps[1:]:
-        fam = fams[g.rot]
-        bound = max_length * fam.axis_len
-        n_lo = math.ceil((-bound - fam.alpha) / fam.step)
-        n_hi = math.floor((bound - fam.alpha) / fam.step)
-        w1, w2 = fam.plane_basis
-        for n in range(n_lo, n_hi + 1):
-            if fam.alpha + n * fam.step == 0:
-                raise InvalidPresentationError("presentation has a fixed point")
-            base = vec_add(g.trans, vec_scale(n, fam.step_vector))
-            for i, j in fam.coset_reps:
-                trans = vec_add(base, vec_add(vec_scale(i, w1), vec_scale(j, w2)))
-                key, witness = _unoriented_class(P, _trusted(g.rot, trans))
-                classes.setdefault(key, witness)
     grouped: dict[tuple, list] = {}
-    for key in sorted(classes):
-        witness = classes[key]
-        fam = fams[witness.rot]
-        length = abs(dot(witness.trans, fam.axis)) / fam.axis_len
-        sig = (length, fam.twist_over_pi, imprimitivity(witness, P))
+    for sig, witness in _class_census(P, max_length):
         entry = grouped.setdefault(sig, [0, witness])
         entry[0] += 1
     return tuple(
@@ -394,9 +555,16 @@ def balance_table(
     """Side-by-side spectral weights per length, flagging any imbalance.
 
     Rows cover every half-integer length up to max_length plus any other
-    length at which either space has a twisted class.
+    length at which either space has a twisted class; more than
+    CLASS_CANDIDATE_BUDGET half-integer rows raise CutoffBudgetError.
     """
     max_length = Fraction(max_length)
+    rows = math.floor(2 * max_length)
+    if rows > CLASS_CANDIDATE_BUDGET:
+        raise CutoffBudgetError(
+            f"balance table to length {fraction_to_str(max_length)} needs {rows} rows, "
+            f"over the budget of {CLASS_CANDIDATE_BUDGET}"
+        )
     left = twisted_classes(P1, max_length)
     right = twisted_classes(P2, max_length)
     lengths = {Fraction(i, 2) for i in range(1, math.floor(2 * max_length) + 1)}

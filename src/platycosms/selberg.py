@@ -37,6 +37,7 @@ the only floating-point consumer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -214,7 +215,7 @@ def _cylinder_tail(P: PlatycosmPresentation, S: float, t: float) -> float:
     for fam in _families(P).values():
         step = float(fam.step / fam.axis_len)
         f = float(twist_factor(fam.twist_over_pi))
-        per_length = 2.0 * len(fam.coset_reps) * f / (4 * math.sqrt(math.pi * t))
+        per_length = 2.0 * fam.index * f / (4 * math.sqrt(math.pi * t))
 
         def term(n: int) -> float:
             x = S + n * step
@@ -234,11 +235,29 @@ def _lattice_and_volume(P: PlatycosmPresentation) -> tuple[Lattice, Fraction]:
     return lat, lat.covolume() / len(P.holonomy_reps)
 
 
+def _kernel_prefactor(vol: Fraction, t: float) -> float:
+    """vol / (4 pi t)^(3/2), the heat kernel's weight on lattice terms;
+    refused when (4 pi t)^(3/2) leaves the normal floats or the quotient
+    is not finite, since no certified value exists there."""
+    try:
+        scale = (4 * math.pi * t) ** 1.5
+    except OverflowError:
+        scale = math.inf
+    prefactor = float(vol) / scale if scale >= sys.float_info.min else math.inf
+    if not 0.0 < prefactor < math.inf:
+        raise CutoffBudgetError(
+            f"geometric heat trace at t = {t:g} is outside the float range"
+        )
+    return prefactor
+
+
 def _geometric_tails(
     P: PlatycosmPresentation, S: float, t: float, lat: Lattice, vol: Fraction
 ):
-    prefactor = float(vol) / (4 * math.pi * t) ** 1.5
-    return prefactor * _lattice_tail(lat, S, t), _cylinder_tail(P, S, t)
+    tails = (_kernel_prefactor(vol, t) * _lattice_tail(lat, S, t), _cylinder_tail(P, S, t))
+    if not all(math.isfinite(tail) for tail in tails):
+        raise CutoffBudgetError(f"geometric tail bound at t = {t:g} is not finite")
+    return tails
 
 
 def _geometric_cutoff(
@@ -285,7 +304,7 @@ def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> Heat
     # exact rationals and the cache is shared across nearby configs
     S_frac = Fraction(math.ceil(2 * S), 2)
     t = cfg.t
-    prefactor = float(vol) / (4 * math.pi * t) ** 1.5
+    prefactor = _kernel_prefactor(vol, t)
     # |lam|^2 = n / den exactly, and int / int is correctly rounded
     _, gram, den = reduced_gram(lat.basis)
     jump = prefactor * math.fsum(

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from platycosms.euclid import Isometry, Lattice, PlatycosmPresentation
-from platycosms.linalg import mat, mat_mul, mat_vec, vec
+from platycosms.linalg import mat, mat_mul, mat_vec, vec, vec_add, vec_sub
 
 
 def make_tricosm() -> PlatycosmPresentation:
@@ -52,3 +52,27 @@ def make_amphicosm() -> PlatycosmPresentation:
     return PlatycosmPresentation(
         "amphicosm", lat, (Isometry(_IDENTITY, vec(0, 0, 0)), glide)
     )
+
+
+def presentations_of(P: PlatycosmPresentation):
+    """P and other presentations of the same space: reps unreduced by
+    lattice vectors, the origin shifted by a rational vector (B, b) ->
+    (B, b + s - B s), the lattice on a unimodularly changed basis, and the
+    x <-> z swap conjugate (the only one whose lattice moves)."""
+    lat = P.lattice
+    unreduced = tuple(
+        Isometry(g.rot, vec_add(g.trans, lat.from_coords((1, -2, i)))) if i else g
+        for i, g in enumerate(P.holonomy_reps)
+    )
+    s = vec(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5))
+    shifted = tuple(
+        Isometry(g.rot, vec_add(g.trans, vec_sub(s, mat_vec(g.rot, s))))
+        for g in P.holonomy_reps
+    )
+    rebased = Lattice(mat_mul(mat([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), lat.basis))
+    return [
+        P,
+        PlatycosmPresentation(P.name, lat, unreduced),
+        PlatycosmPresentation(P.name, lat, shifted),
+        PlatycosmPresentation(P.name, rebased, P.holonomy_reps),
+    ], swap_xz(P)

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -297,3 +298,25 @@ def test_heat_times_out_of_reach_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("balance", "--left", "tetra", "--right", "didi", "--max-length", "1/0"),
+    ("geodesics", "--space", "tetra", "--max-length", "1/0"),
+    ("spectrum", "--circle", "1/0", "--max-key", "4"),
+], ids=" ".join)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err and "invalid _positive_fraction value" in err
+
+
+def test_class_enumeration_budget_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "balance", "--left", "tetra", "--right", "didi",
+                         "--max-length", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import swap_xz
+from conftest import presentations_of, swap_xz
 
 from platycosms.errors import InvalidPresentationError, UnknownPresetError
 from platycosms.euclid import (
@@ -32,7 +32,7 @@ from platycosms.euclid import (
     volume,
 )
 from platycosms.linalg import (
-    IDENTITY, dot, mat, mat_mul, mat_sub, mat_vec, rank, vec, vec_add, vec_sub,
+    IDENTITY, dot, mat, mat_mul, mat_sub, rank, vec, vec_add,
 )
 
 TAU = QUARTER_TURN_SCREW
@@ -218,33 +218,9 @@ def _brute_force_pure_translations(P, box=2):
     return found
 
 
-def _presentations_of(P):
-    """P and other presentations of the same space: reps unreduced by
-    lattice vectors, the origin shifted by a rational vector (B, b) ->
-    (B, b + s - B s), the lattice on a unimodularly changed basis, and the
-    x <-> z swap conjugate (the only one whose lattice moves)."""
-    lat = P.lattice
-    unreduced = tuple(
-        Isometry(g.rot, vec_add(g.trans, lat.from_coords((1, -2, i)))) if i else g
-        for i, g in enumerate(P.holonomy_reps)
-    )
-    s = vec(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5))
-    shifted = tuple(
-        Isometry(g.rot, vec_add(g.trans, vec_sub(s, mat_vec(g.rot, s))))
-        for g in P.holonomy_reps
-    )
-    rebased = Lattice(mat_mul(mat([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), lat.basis))
-    return [
-        P,
-        PlatycosmPresentation(P.name, lat, unreduced),
-        PlatycosmPresentation(P.name, lat, shifted),
-        PlatycosmPresentation(P.name, rebased, P.holonomy_reps),
-    ], swap_xz(P)
-
-
 @pytest.mark.parametrize("name", ["two_tall", "tetra", "didi"])
 def test_translation_lattice_is_two_tall(name):
-    same_space, conjugate = _presentations_of(preset(name))
+    same_space, conjugate = presentations_of(preset(name))
     for P in same_space + [conjugate]:
         lat = translation_lattice(P)
         assert lat.same_lattice(P.lattice)

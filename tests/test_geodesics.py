@@ -1,14 +1,20 @@
 """Twisted geodesic classes: census, imprimitivity, weights, balance."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from platycosms.errors import UnsupportedGeometryError
+from platycosms.errors import (
+    CutoffBudgetError,
+    InvalidPresentationError,
+    UnsupportedGeometryError,
+)
 from platycosms.euclid import (
     QUARTER_TURN_SCREW,
     Isometry,
+    PlatycosmPresentation,
     compose,
     inverse,
     isometry_power,
@@ -17,7 +23,8 @@ from platycosms.euclid import (
 )
 from platycosms.geodesics import (
     GeodesicClass,
-    _unoriented_class,
+    _class_census,
+    _families,
     balance_table,
     balance_to_csv,
     classes_to_csv,
@@ -28,7 +35,9 @@ from platycosms.geodesics import (
 )
 from platycosms.linalg import vec
 
-from conftest import make_tricosm, swap_xz
+import class_oracle
+from class_oracle import unoriented_class as _unoriented_class
+from conftest import make_dicosm, make_tricosm, presentations_of, swap_xz
 
 TETRA = preset("tetra")
 DIDI = preset("didi")
@@ -216,6 +225,74 @@ def test_witnesses_equal_validated_isometries(space):
         validated = Isometry(w.rot, w.trans)
         assert w == validated and hash(w) == hash(validated)
         assert all(type(x) is Fraction for x in (*w.trans, *(y for r in w.rot for y in r)))
+
+
+def _oracle_spaces():
+    spaces = [make_dicosm()]
+    for P in (TETRA, DIDI):
+        same_space, conjugate = presentations_of(P)
+        spaces += same_space + [conjugate]
+    return spaces
+
+
+@pytest.mark.parametrize(
+    "space", _oracle_spaces(),
+    ids=["dicosm"] + [f"{name}-{kind}" for name in ("tetra", "didi")
+                      for kind in ("preset", "unreduced", "shifted", "rebased", "x_long")],
+)
+def test_enumerator_matches_element_oracle(space):
+    """Class by class, the class-action table agrees with canonicalizing one
+    element at a time: the same classes (each witness lies in a distinct
+    oracle class), the same signature per class, the same counts."""
+    oracle = class_oracle.census(space, Fraction(9, 2))
+    for bound in (HALF, Fraction(1), Fraction(3), Fraction(9, 2)):
+        expected = {key: sig for key, (sig, _) in oracle.items() if sig[0] <= bound}
+        found = {}
+        for sig, witness in _class_census(space, bound):
+            assert space.contains(witness)
+            key, _ = _unoriented_class(space, witness)
+            assert key not in found
+            found[key] = sig
+        assert found == expected
+        counts = Counter(expected.values())
+        assert {c.signature: c.count for c in twisted_classes(space, bound)} == counts
+
+
+def test_families_are_read_only():
+    space = PlatycosmPresentation("tetra-ro", TETRA.lattice, TETRA.holonomy_reps)
+    before = twisted_classes(space, Fraction(2))
+    fams = _families(space)
+    with pytest.raises((AttributeError, TypeError)):
+        fams.clear()
+    with pytest.raises(TypeError):
+        fams[TAU.rot] = None
+    assert len(_families(space)) == 3
+    twisted_classes.cache_clear()
+    assert twisted_classes(space, Fraction(2)) == before
+
+
+def test_enumeration_over_budget_is_refused():
+    with pytest.raises(CutoffBudgetError):
+        twisted_classes(DIDI, Fraction(10**9))
+    # spaces without twisted classes still pay one row per half-integer
+    with pytest.raises(CutoffBudgetError):
+        balance_table(preset("two_tall"), preset("cubical_torocosm"), Fraction(10**9))
+    # the heat traces' largest radius stays within the budget
+    for space in (TETRA, DIDI, swap_xz(TETRA), swap_xz(DIDI)):
+        assert twisted_classes(space, Fraction(64))
+
+
+def test_zero_length_screw_is_refused():
+    """A half-turn about z with no translation fixes the z axis; such a
+    presentation fails validation, and class enumeration refuses it too."""
+    dicosm = make_dicosm()
+    fixed = Isometry(dicosm.holonomy_reps[1].rot, vec(0, 0, 0))
+    space = object.__new__(PlatycosmPresentation)
+    object.__setattr__(space, "name", "fixed")
+    object.__setattr__(space, "lattice", dicosm.lattice)
+    object.__setattr__(space, "holonomy_reps", (dicosm.holonomy_reps[0], fixed))
+    with pytest.raises(InvalidPresentationError):
+        twisted_classes(space, Fraction(1))
 
 
 def test_max_length_must_be_positive():

@@ -387,3 +387,17 @@ def test_heat_trace_rows_and_csv():
     assert lines[0] == "t,spectral,geometric,abs_diff,bound"
     assert len(lines) == 2
     assert lines[1].startswith("0.2")
+
+
+def test_geometric_trace_at_tiny_t():
+    """Where (4 pi t)^(3/2) underflows there is no float answer, and the
+    geometric side refuses.  Just above, every term but the identity's is
+    below the smallest float: the value is vol / (4 pi t)^(3/2), with
+    finite tails."""
+    tetra = preset("tetra")
+    with pytest.raises(CutoffBudgetError):
+        geometric_heat_trace(tetra, HeatTraceConfig(1e-250, 1e-10))
+    t = 1e-200
+    got = geometric_heat_trace(tetra, HeatTraceConfig(t, 1e-10))
+    assert got.value == float(volume(tetra)) / (4 * math.pi * t) ** 1.5
+    assert math.isfinite(got.tail_bound) and got.tail_bound >= 0.0

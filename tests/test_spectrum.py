@@ -1,12 +1,15 @@
 """Spectra: shells, character sums, orbit bookkeeping, isospectrality."""
 
 import cmath
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_amphicosm, make_dicosm, make_tricosm, swap_xz
+import platycosms
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import (
     CharacterSumError,
@@ -21,7 +24,7 @@ from platycosms.euclid import (
     preset,
     translation_lattice,
 )
-from platycosms.geodesics import _families, twisted_classes
+from platycosms.geodesics import twisted_classes
 from platycosms.linalg import dot, mat
 from platycosms.spectrum import (
     DualVector,
@@ -352,8 +355,18 @@ def test_caches_stay_within_bound():
         for bound in (i % 5, i % 5 + 5):
             spectrum_table(space, bound)
             twisted_classes(space, Fraction(bound + 1, 2))
-    for cache in (spectrum_module._dual_action, spectrum_module._table,
-                  _families, twisted_classes):
+    caches = {
+        f"{module.__name__}.{name}": value
+        for info in pkgutil.iter_modules(platycosms.__path__)
+        for module in [importlib.import_module(f"platycosms.{info.name}")]
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert set(caches) >= {
+        "platycosms.spectrum._dual_action", "platycosms.spectrum._table",
+        "platycosms.geodesics._class_table", "platycosms.geodesics.twisted_classes",
+    }
+    for cache in caches.values():
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE
