@@ -10,34 +10,44 @@ are provided:
   tetra              two_tall divided by a quarter-turn screw motion
   didi               two_tall divided by three half-turn screw motions
 
-All arithmetic in this module is exact rational; no floating point.
+A presentation is lowered once, on construction, to its integer form
+(`IntegerForm`): the lattice basis scaled to integers, each holonomy
+rotation as an integer matrix on lattice coordinates, and each rep
+translation as integer lattice coordinates over one common denominator.
+Validation runs on that form, in Python ints, and so do the derived data
+of the other modules (translation lattice, volume, class tables, the
+dual action of the spectrum).  Fractions appear only at the boundary:
+parsing, the `Isometry` and `Lattice` values handed out, and printed
+output.  No floating point enters any of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 from .errors import InvalidPresentationError, UnknownPresetError
 from .linalg import (
     IDENTITY,
     Mat3,
     Vec3,
+    adj3,
     det3,
     dot,
     fraction_to_str,
     hnf_rows,
+    integer_kernel,
     inv3,
     mat,
     mat_mul,
-    mat_sub,
     mat_vec,
-    nullspace,
-    rank,
-    solve_rational_in_lattice,
+    solve_integer,
     transpose,
     vec,
     vec_add,
@@ -66,6 +76,23 @@ __all__ = [
 # memory without limit.
 CACHE_SIZE = 128
 
+IntVec = tuple[int, int, int]
+IntMat = tuple[IntVec, IntVec, IntVec]
+
+
+def _mat3(rows, what: str) -> Mat3:
+    rows = tuple(tuple(row) for row in rows)
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise InvalidPresentationError(f"{what} must be a 3x3 matrix")
+    return mat(rows)
+
+
+def _scaled(rows) -> tuple[int, tuple]:
+    """(d, d * rows): the least common denominator of rational rows and
+    the rows scaled by it to integers."""
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows)
+
 
 @dataclass(frozen=True)
 class Isometry:
@@ -75,11 +102,16 @@ class Isometry:
     trans: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "rot", mat(self.rot))
-        object.__setattr__(self, "trans", vec(*self.trans))
-        if mat_mul(transpose(self.rot), self.rot) != IDENTITY:
+        object.__setattr__(self, "rot", _mat3(self.rot, "rotational part"))
+        trans = tuple(self.trans)
+        if len(trans) != 3:
+            raise InvalidPresentationError("translation must have 3 entries")
+        object.__setattr__(self, "trans", vec(*trans))
+        # with R = d * rot integral: rot^T rot = I and det rot = +-1 in ints
+        d, R = _scaled(self.rot)
+        if mat_mul(transpose(R), R) != ((d * d, 0, 0), (0, d * d, 0), (0, 0, d * d)):
             raise InvalidPresentationError("rotational part is not orthogonal")
-        if det3(self.rot) not in (1, -1):
+        if abs(det3(R)) != d ** 3:
             raise InvalidPresentationError("rotational part has determinant != +-1")
 
     def apply(self, point: Vec3) -> Vec3:
@@ -122,25 +154,21 @@ def inverse(g: Isometry) -> Isometry:
     return _trusted(rot_inv, vec_scale(-1, mat_vec(rot_inv, g.trans)))
 
 
-def isometry_power(g: Isometry, n: int) -> Isometry:
-    if n < 0:
-        return isometry_power(inverse(g), -n)
-    out = IDENTITY_ISOMETRY
-    for _ in range(n):
-        out = compose(g, out)
-    return out
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Rank-3 lattice spanned by the rows of `basis` (exact rationals)."""
 
     basis: Mat3
+    # (d, d * basis, det(d * basis)) with d the least common denominator
+    scaled: tuple[int, IntMat, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", mat(self.basis))
-        if det3(self.basis) == 0:
+        object.__setattr__(self, "basis", _mat3(self.basis, "lattice basis"))
+        d, rows = _scaled(self.basis)
+        det = det3(rows)
+        if det == 0:
             raise InvalidPresentationError("lattice basis is degenerate")
+        object.__setattr__(self, "scaled", (d, rows, det))
 
     @cached_property
     def _coords_matrix(self) -> Mat3:
@@ -169,31 +197,123 @@ class Lattice:
         frac = vec(*(c - math.floor(c) for c in x))
         return self.from_coords(frac)
 
-    def same_lattice(self, other: "Lattice") -> bool:
-        return all(other.contains(b) for b in self.basis) and all(
-            self.contains(b) for b in other.basis
-        )
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """A presentation on integer lattice coordinates.
+
+    With L the lattice basis (rows) and x the coordinates of a vector
+    L^T x, `basis` is scale * L, holonomy rep i acts on coordinates by
+    x -> rots[i] x + trans[i] / den, and rep a composed with rep b has
+    rotation rots[product[a][b]]; rep inverse[a] has the inverse
+    rotation of rep a.  `adj` is the adjugate of basis^T, so the
+    coordinates of a vector v are scale * adj v / det."""
+
+    scale: int
+    basis: IntMat
+    det: int
+    adj: IntMat
+    rots: tuple[IntMat, ...]
+    den: int
+    trans: tuple[IntVec, ...]
+    product: tuple[tuple[int, ...], ...]
+    inverse: tuple[int, ...]
+
+    def coords(self, v: Vec3, den: int = 1) -> Optional[IntVec]:
+        """den times the lattice coordinates of v, or None when they are
+        not integers."""
+        q, (w,) = _scaled((v,))
+        num = mat_vec(self.adj, w)
+        div = self.det * q
+        mult = self.scale * den
+        if any(mult * c % div for c in num):
+            return None
+        return tuple(mult * c // div for c in num)  # type: ignore[return-value]
 
 
-def lattice_from_generators(vectors) -> Lattice:
-    """Smallest lattice containing all generators (must have rank 3)."""
-    den = 1
-    vs = [vec(*v) for v in vectors]
-    for v in vs:
-        for c in v:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    rows = [[int(c * den) for c in v] for v in vs]
-    reduced = hnf_rows(rows)
-    if len(reduced) != 3:
-        raise InvalidPresentationError("generators do not span 3-space")
-    return Lattice(mat([[Fraction(c, den) for c in row] for row in reduced]))
+def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
+    """The integer form of a presentation, checking its invariants in the
+    order the `PlatycosmPresentation` docstring lists them."""
+    if not reps or not reps[0].is_identity:
+        raise InvalidPresentationError("first holonomy rep must be the identity")
+    scale, basis, det = lattice.scaled
+    # rotations over one common denominator d: rep c is the product of
+    # reps a and b when R_a R_b = d R_c
+    scaled = [_scaled(g.rot) for g in reps]
+    d = math.lcm(*(q for q, _ in scaled))
+    cart = [tuple(tuple(c * (d // q) for c in row) for row in R) for q, R in scaled]
+    if len(set(cart)) != len(cart):
+        raise InvalidPresentationError("holonomy rotational parts must be distinct")
+    index = {tuple(tuple(d * c for c in row) for row in R): i for i, R in enumerate(cart)}
+    product = []
+    for a in cart:
+        row = []
+        for b in cart:
+            c = index.get(mat_mul(a, b))
+            if c is None:
+                raise InvalidPresentationError(
+                    "holonomy rotational parts are not closed under product"
+                )
+            row.append(c)
+        product.append(tuple(row))
+    # on coordinates a rotation R acts as adj(B^T) R B^T / (det d), B = basis;
+    # the lattice is preserved when that is integral
+    adj = adj3(transpose(basis))
+    rots = []
+    for R in cart:
+        num = mat_mul(mat_mul(adj, R), transpose(basis))
+        if any(c % (det * d) for row in num for c in row):
+            raise InvalidPresentationError(
+                "holonomy does not preserve the translation lattice"
+            )
+        rots.append(tuple(tuple(c // (det * d) for c in row) for row in num))
+    # translations: coordinates scale adj t / det over one reduced denominator
+    q, ts = _scaled([g.trans for g in reps])
+    nums = [mat_vec(adj, t) for t in ts]
+    div = det * q
+    if div < 0:
+        div, nums = -div, [tuple(-c for c in x) for x in nums]
+    g = math.gcd(div, *(scale * c for x in nums for c in x))
+    den = div // g
+    trans = [tuple(scale * c // g for c in x) for x in nums]
+    for a, row in enumerate(product):
+        for b, c in enumerate(row):
+            shifted = mat_vec(rots[a], trans[b])
+            if any((s + t - u) % den for s, t, u in zip(shifted, trans[a], trans[c])):
+                raise InvalidPresentationError(
+                    "coset representatives are not closed modulo the lattice"
+                )
+    # (A, x + c/den) fixes a point iff f . (x + c/den) = 0 for every
+    # functional f fixed by A (f A = f), solvable for integral x
+    for A, c in zip(rots[1:], trans[1:]):
+        fixed = integer_kernel([[int(i == j) - A[j][i] for j in range(3)] for i in range(3)])
+        if not fixed:
+            raise InvalidPresentationError(
+                "a holonomy rep with no +1 eigenvalue always has a fixed point"
+            )
+        rows = [[den * x for x in f] for f in fixed]
+        if solve_integer(rows, [-dot(f, c) for f in fixed]) is not None:
+            raise InvalidPresentationError(
+                "holonomy rep composed with a lattice translation fixes a point"
+            )
+    return IntegerForm(
+        scale=scale,
+        basis=basis,
+        det=det,
+        adj=adj,
+        rots=tuple(rots),
+        den=den,
+        trans=tuple(trans),
+        product=tuple(product),
+        inverse=tuple(row.index(0) for row in product),
+    )
 
 
 @dataclass(frozen=True)
 class PlatycosmPresentation:
     """Translation lattice plus holonomy coset representatives.
 
-    Invariants (checked on construction):
+    Invariants (checked on construction, on the integer form):
       * the first representative is the identity and rotational parts are
         pairwise distinct and closed under multiplication;
       * every representative maps the lattice to itself;
@@ -206,59 +326,11 @@ class PlatycosmPresentation:
     name: str
     lattice: Lattice
     holonomy_reps: tuple[Isometry, ...]
+    form: IntegerForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "holonomy_reps", tuple(self.holonomy_reps))
-        self._validate()
-
-    def _validate(self):
-        reps = self.holonomy_reps
-        lat = self.lattice
-        if not reps or not reps[0].is_identity:
-            raise InvalidPresentationError("first holonomy rep must be the identity")
-        rotations = [g.rot for g in reps]
-        if len(set(rotations)) != len(rotations):
-            raise InvalidPresentationError("holonomy rotational parts must be distinct")
-        rotation_set = set(rotations)
-        for a in rotations:
-            for b in rotations:
-                if mat_mul(a, b) not in rotation_set:
-                    raise InvalidPresentationError(
-                        "holonomy rotational parts are not closed under product"
-                    )
-        for g in reps:
-            for b in lat.basis:
-                if not lat.contains(mat_vec(g.rot, b)):
-                    raise InvalidPresentationError(
-                        "holonomy does not preserve the translation lattice"
-                    )
-        by_rotation = {g.rot: g for g in reps}
-        for g in reps:
-            for h in reps:
-                gh = compose(g, h)
-                target = by_rotation[gh.rot]
-                if not lat.contains(vec_sub(gh.trans, target.trans)):
-                    raise InvalidPresentationError(
-                        "coset representatives are not closed modulo the lattice"
-                    )
-        for g in reps[1:]:
-            self._check_fixed_point_free(g)
-
-    def _check_fixed_point_free(self, g: Isometry):
-        # (rot, trans + lam) has a fixed point iff the component of
-        # trans + lam in the rot-fixed subspace vanishes; decide exactly by
-        # solving <lam, f_i> = -<trans, f_i> for lam in the lattice.
-        fix = nullspace(mat_sub(IDENTITY, g.rot))
-        if not fix:
-            raise InvalidPresentationError(
-                "a holonomy rep with no +1 eigenvalue always has a fixed point"
-            )
-        rows = [[dot(b, f) for b in self.lattice.basis] for f in fix]
-        rhs = [-dot(g.trans, f) for f in fix]
-        if solve_rational_in_lattice(rows, rhs) is not None:
-            raise InvalidPresentationError(
-                "holonomy rep composed with a lattice translation fixes a point"
-            )
+        object.__setattr__(self, "form", _lower(self.lattice, self.holonomy_reps))
 
     def rep_by_rotation(self, rot: Mat3) -> Isometry:
         for g in self.holonomy_reps:
@@ -272,7 +344,7 @@ class PlatycosmPresentation:
             rep = self.rep_by_rotation(g.rot)
         except KeyError:
             return False
-        return self.lattice.contains(vec_sub(g.trans, rep.trans))
+        return self.form.coords(vec_sub(g.trans, rep.trans)) is not None
 
 
 # --- built-in presentations -------------------------------------------------
@@ -300,35 +372,37 @@ def _reduced(g: Isometry, lat: Lattice) -> Isometry:
     return Isometry(g.rot, lat.reduce(g.trans))
 
 
+def _screw_powers(t: Isometry) -> tuple[Isometry, ...]:
+    """The identity, t, t^2 and t^3."""
+    powers = [IDENTITY_ISOMETRY]
+    for _ in range(3):
+        powers.append(compose(t, powers[-1]))
+    return tuple(powers)
+
+
+# lattice and holonomy reps of each preset, their translations reduced into
+# the fundamental cell of the lattice
+_PRESETS = {
+    "cubical_torocosm": (_CUBICAL_LATTICE, (IDENTITY_ISOMETRY,)),
+    "two_tall": (_TWO_TALL_LATTICE, (IDENTITY_ISOMETRY,)),
+    "tetra": (_TWO_TALL_LATTICE, tuple(
+        _reduced(g, _TWO_TALL_LATTICE) for g in _screw_powers(QUARTER_TURN_SCREW)
+    )),
+    "didi": (_TWO_TALL_LATTICE, tuple(
+        _reduced(g, _TWO_TALL_LATTICE)
+        for g in (IDENTITY_ISOMETRY, HALF_TURN_SCREW_X, HALF_TURN_SCREW_Y, HALF_TURN_SCREW_Z)
+    )),
+}
+
+
 def preset(name: str) -> PlatycosmPresentation:
     """One of the built-in presentations; holonomy translations are stored
     reduced into the fundamental cell of the lattice."""
-    if name == "cubical_torocosm":
-        return PlatycosmPresentation(name, _CUBICAL_LATTICE, (IDENTITY_ISOMETRY,))
-    if name == "two_tall":
-        return PlatycosmPresentation(name, _TWO_TALL_LATTICE, (IDENTITY_ISOMETRY,))
-    if name == "tetra":
-        lat = _TWO_TALL_LATTICE
-        t = QUARTER_TURN_SCREW
-        reps = (
-            IDENTITY_ISOMETRY,
-            _reduced(t, lat),
-            _reduced(compose(t, t), lat),
-            _reduced(compose(t, compose(t, t)), lat),
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise UnknownPresetError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         )
-        return PlatycosmPresentation(name, lat, reps)
-    if name == "didi":
-        lat = _TWO_TALL_LATTICE
-        reps = (
-            IDENTITY_ISOMETRY,
-            _reduced(HALF_TURN_SCREW_X, lat),
-            _reduced(HALF_TURN_SCREW_Y, lat),
-            _reduced(HALF_TURN_SCREW_Z, lat),
-        )
-        return PlatycosmPresentation(name, lat, reps)
-    raise UnknownPresetError(
-        f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-    )
+    return PlatycosmPresentation(name, *_PRESETS[name])
 
 
 # --- derived quantities ------------------------------------------------------
@@ -344,34 +418,23 @@ def translation_lattice(P: PlatycosmPresentation) -> Lattice:
     with identity rotation is the identity rep shifted by a lattice
     vector.
     """
-    return lattice_from_generators(P.lattice.basis)
+    form = P.form
+    rows = hnf_rows(form.basis)
+    return Lattice([[Fraction(c, form.scale) for c in row] for row in rows])
 
 
 def volume(P: PlatycosmPresentation) -> Fraction:
     """Riemannian volume: covolume of the translation lattice over the
     number of holonomy cosets."""
-    return translation_lattice(P).covolume() / len(P.holonomy_reps)
+    form = P.form
+    return Fraction(abs(form.det), form.scale ** 3 * len(P.holonomy_reps))
 
 
 def betti_one(P: PlatycosmPresentation) -> int:
     """First Betti number: dimension of the common fixed subspace of all
     holonomy rotational parts."""
-    rows = []
-    for g in P.holonomy_reps:
-        rows.extend(mat_sub(IDENTITY, g.rot))
-    return 3 - rank(rows)
-
-
-def fixed_sublattice_rank(P: PlatycosmPresentation) -> int:
-    """Rank of the sublattice of the translation lattice fixed by every
-    holonomy rotational part (equals betti_one; kept as a cross-check)."""
-    lat = translation_lattice(P)
-    rows = []
-    for g in P.holonomy_reps:
-        d = mat_sub(IDENTITY, g.rot)
-        for r in range(3):
-            rows.append([dot(d[r], b) for b in lat.basis])
-    return 3 - rank(rows)
+    rows = [[int(i == j) - A[i][j] for j in range(3)] for A in P.form.rots for i in range(3)]
+    return len(integer_kernel(rows))
 
 
 # --- JSON space files --------------------------------------------------------
@@ -391,22 +454,56 @@ def presentation_to_json(P: PlatycosmPresentation) -> dict:
     }
 
 
+_EXPONENT = re.compile(r"[eE]\s*([-+]?\d[\d_]*)")
+
+
+def _numeral(entry) -> Fraction:
+    """A space-file entry as a Fraction.  A numeral with more digits, or a
+    larger decimal exponent, than Python's int-from-string limit is
+    refused before any large integer is built."""
+    text = str(entry)
+    # 0: no limit, as on Pythons older than the limit itself
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        exponent = _EXPONENT.search(text)
+        if sum(ch.isdigit() for ch in text) > limit or (
+            exponent is not None and abs(int(exponent.group(1))) > limit
+        ):
+            shown = text if len(text) <= 20 else text[:20] + "..."
+            raise ValueError(
+                f"numeral {shown!r} has more than {limit} digits or an exponent beyond {limit}"
+            )
+    return Fraction(text)
+
+
+def _numerals(value, depth: int):
+    """A JSON list (depth 1) or list of lists (depth 2) of numerals; a
+    string is not read as a list of its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    if depth == 1:
+        return [_numeral(c) for c in value]
+    return [_numerals(row, 1) for row in value]
+
+
 def presentation_from_json(doc: dict) -> PlatycosmPresentation:
     try:
         name = doc["name"]
-        basis = mat([[Fraction(str(c)) for c in row] for row in doc["lattice"]])
+        basis = _mat3(_numerals(doc["lattice"], 2), "lattice basis")
         reps = tuple(
-            Isometry(
-                mat([[Fraction(str(c)) for c in row] for row in r["rot"]]),
-                vec(*(Fraction(str(c)) for c in r["trans"])),
-            )
-            for r in doc["reps"]
+            Isometry(_numerals(r["rot"], 2), _numerals(r["trans"], 1)) for r in doc["reps"]
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise InvalidPresentationError(f"malformed space document: {exc}") from exc
     return PlatycosmPresentation(str(name), Lattice(basis), reps)
 
 
 def load_space_file(path) -> PlatycosmPresentation:
     with open(path, "r", encoding="utf-8") as fh:
-        return presentation_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise InvalidPresentationError(
+                "malformed space document: nested too deeply"
+            ) from exc
+    return presentation_from_json(doc)

@@ -43,24 +43,22 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import CutoffBudgetError, InvalidPresentationError, UnsupportedGeometryError
-from .euclid import CACHE_SIZE, Isometry, PlatycosmPresentation, _trusted
+from .euclid import (
+    CACHE_SIZE, IntegerForm, IntMat, IntVec, Isometry, PlatycosmPresentation, _trusted,
+)
 from .linalg import (
     IDENTITY,
     Mat3,
+    adj3,
+    det3,
     dot,
-    fraction_sqrt,
     fraction_to_str,
     hnf_rows,
     integer_kernel,
-    inv3,
-    mat,
-    mat_sub,
+    mat_mul,
     mat_vec,
-    nullspace,
-    primitive_integer_vector,
     solve_integer,
     transpose,
-    vec,
 )
 
 __all__ = [
@@ -100,12 +98,6 @@ _WEIGHT_FACTOR = {
     Fraction(1, 2): Fraction(2),
 }
 
-IntVec = tuple[int, int, int]
-IntMat = tuple[IntVec, IntVec, IntVec]
-
-_INT_IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def twist_factor(twist_over_pi: Fraction) -> Fraction:
     """Exact 1/sin^2(theta/2) for theta = pi and theta = pi/2."""
     factor = _WEIGHT_FACTOR.get(Fraction(twist_over_pi))
@@ -131,24 +123,7 @@ class GeodesicClass:
         return (self.length, self.twist_over_pi, self.imprimitivity)
 
 
-# --- small integer matrices ------------------------------------------------
-
-
-def _imul(a: IntMat, b: IntMat) -> IntMat:
-    return tuple(
-        tuple(row[0] * b[0][j] + row[1] * b[1][j] + row[2] * b[2][j] for j in range(3))
-        for row in a
-    )  # type: ignore[return-value]
-
-
-def _iapply(a: IntMat, v) -> IntVec:
-    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in a)  # type: ignore[return-value]
-
-
-def _integral(m: Mat3, what: str) -> IntMat:
-    if any(c.denominator != 1 for row in m for c in row):
-        raise InvalidPresentationError(f"{what} is not integral in lattice coordinates")
-    return tuple(tuple(int(c) for c in row) for row in m)  # type: ignore[return-value]
+# --- small integer helpers ----------------------------------------------------
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -190,25 +165,30 @@ class _TwistFamily:
         return min(r, self.step - r)
 
 
-def _build_family(P: PlatycosmPresentation, g: Isometry, rot_coords: IntMat) -> _TwistFamily:
-    B = g.rot
-    kernel = nullspace(mat_sub(IDENTITY, B))
+def _build_family(form: IntegerForm, i: int, g: Isometry) -> _TwistFamily:
+    A = form.rots[i]
+    kernel = integer_kernel([[A[r][c] - (r == c) for c in range(3)] for r in range(3)])
     if len(kernel) != 1:
         raise UnsupportedGeometryError(
             "twisted holonomy must be a rotation with a one-dimensional axis"
         )
-    axis = vec(*primitive_integer_vector(kernel[0]))
-    axis_len = fraction_sqrt(dot(axis, axis))
-    if axis_len is None:
+    # the primitive integer vector along the axis, first nonzero entry positive
+    axis = mat_vec(transpose(form.basis), kernel[0])
+    unit = math.gcd(*axis) * (1 if next(c for c in axis if c) > 0 else -1)
+    axis = tuple(c // unit for c in axis)
+    norm = dot(axis, axis)
+    axis_len = math.isqrt(norm)
+    if axis_len * axis_len != norm:
         raise UnsupportedGeometryError("screw axis has irrational length scale")
-    trace = B[0][0] + B[1][1] + B[2][2]
-    twist = _TWIST_FROM_COS.get(Fraction(trace - 1, 2))
+    twist = _TWIST_FROM_COS.get(Fraction(A[0][0] + A[1][1] + A[2][2] - 1, 2))
     if twist is None:
         raise UnsupportedGeometryError("twist is not a rational multiple of pi")
 
-    dots = [dot(b, axis) for b in P.lattice.basis]
-    den = math.lcm(*(q.denominator for q in dots))
-    ints = tuple(int(q * den) for q in dots)
+    # <b, axis> for the basis vectors b is raw / scale; ints / den in lowest terms
+    raw = mat_vec(form.basis, axis)
+    h = math.gcd(form.scale, *raw)
+    den = form.scale // h
+    ints = tuple(c // h for c in raw)
     g12, x1, x2 = _ext_gcd(ints[0], ints[1])
     gcd_all, y12, y3 = _ext_gcd(g12, ints[2])
     step_coords = (x1 * y12, x2 * y12, y3)
@@ -216,20 +196,25 @@ def _build_family(P: PlatycosmPresentation, g: Isometry, rot_coords: IntMat) -> 
     # step_coords maps to gcd_all under the form and w1, w2 span its kernel,
     # so the three columns are a basis of Z^3
     basis = tuple(zip(step_coords, w1, w2))
-    basis_inv = _integral(inv3(mat(basis)), "family basis inverse")
+    det = det3(basis)
+    if det not in (1, -1):
+        raise InvalidPresentationError(
+            "family basis inverse is not integral in lattice coordinates"
+        )
+    basis_inv = tuple(tuple(det * c for c in row) for row in adj3(basis))
 
     # (I - B)Lambda: columns of basis_inv . (I - A), all with n = 0
-    diff = _imul(basis_inv, tuple(
-        tuple(int(i == j) - rot_coords[i][j] for j in range(3)) for i in range(3)
+    diff = mat_mul(basis_inv, tuple(
+        tuple(int(r == c) - A[r][c] for c in range(3)) for r in range(3)
     ))
     H = hnf_rows([[diff[1][k], diff[2][k]] for k in range(3)])
     if len(H) != 2 or H[1][0] != 0 or H[0][0] <= 0 or H[1][1] <= 0:
         raise UnsupportedGeometryError("conjugation sublattice is not rank 2")
     return _TwistFamily(
-        rot=B,
-        axis_len=axis_len,
+        rot=g.rot,
+        axis_len=Fraction(axis_len),
         twist_over_pi=twist,
-        alpha=dot(g.trans, axis),
+        alpha=Fraction(dot(form.trans[i], raw), form.den * form.scale),
         step=Fraction(gcd_all, den),
         axis_form=ints,
         basis=basis,
@@ -268,38 +253,31 @@ class _ClassTable:
     shortest: Optional[Fraction]
 
 
-def _actions(
-    fams, den: int, rot_coords, trans_coords, rot_index, rep_of_rot
-) -> tuple[tuple[tuple, ...], ...]:
+def _actions(fams, form: IntegerForm) -> tuple[tuple[tuple, ...], ...]:
     """The class-action table.  With X = c + x the lattice coordinates of
     a translation (c those of the rep, x integral), inverting sends
     (A, X) to (A^-1, -A^-1 X) and conjugating by the rep (A_h, c_h) sends
     (A, X) to (A_h A A_h^-1, A_h X + c_h - A_h A A_h^-1 c_h); both are
     affine in x, and the offset from the image rep is integral."""
-    m = len(rot_coords)
+    rots, trans, den = form.rots, form.trans, form.den
+    product, inverse = form.product, form.inverse
     table = []
     for j, fam in enumerate(fams):
         rj = j + 1
         entries = []
-        for h in range(m):
-            A_h, c_h = rot_coords[h], trans_coords[h]
-            A_h_inv = rot_coords[rep_of_rot[h]]
+        for h, (A_h, c_h) in enumerate(zip(rots, trans)):
             for invert in (False, True):
                 if invert:
-                    neg = _imul(A_h, rot_coords[rep_of_rot[rj]])
-                    linear = tuple(tuple(-c for c in row) for row in neg)
-                    rot = _imul(neg, A_h_inv)
+                    src = inverse[rj]
+                    linear = tuple(tuple(-c for c in row) for row in mat_mul(A_h, rots[src]))
                 else:
+                    src = rj
                     linear = A_h
-                    rot = _imul(_imul(A_h, rot_coords[rj]), A_h_inv)
-                ri = rot_index[rot]
+                ri = product[product[h][src]][inverse[h]]
                 shift = [
                     a + b - c - d
                     for a, b, c, d in zip(
-                        _iapply(linear, trans_coords[rj]),
-                        c_h,
-                        _iapply(rot, c_h),
-                        trans_coords[ri],
+                        mat_vec(linear, trans[rj]), c_h, mat_vec(rots[ri], c_h), trans[ri]
                     )
                 ]
                 if any(s % den for s in shift):
@@ -307,61 +285,50 @@ def _actions(
                         "coset representatives are not closed modulo the lattice"
                     )
                 image = fams[ri - 1]
-                T = _imul(image.basis_inv, _imul(linear, fam.basis))
-                e = _iapply(image.basis_inv, [s // den for s in shift])
+                T = mat_mul(image.basis_inv, mat_mul(linear, fam.basis))
+                e = mat_vec(image.basis_inv, [s // den for s in shift])
                 entries.append((ri - 1, *T[0], *T[1], *T[2], *e))
         table.append(tuple(entries))
     return tuple(table)
 
 
-def _powers(A: IntMat, rot_index) -> tuple[tuple, tuple]:
-    """Powers of A up to its order, as family indices, and the power sums,
-    accumulated once: A^k and the k-th sum follow from k mod the order."""
+def _powers(form: IntegerForm, r: int) -> tuple[tuple, tuple]:
+    """Powers of rotation r up to its order, as family indices, and the
+    power sums, accumulated once: A^k and the k-th sum follow from k mod
+    the order."""
     families, sums = [], [((0, 0, 0),) * 3]
-    power = _INT_IDENTITY
+    p = 0
     while True:
-        families.append(rot_index[power] - 1 if power != _INT_IDENTITY else None)
+        families.append(p - 1 if p else None)
         sums.append(tuple(tuple(a + b for a, b in zip(ra, rb))
-                          for ra, rb in zip(sums[-1], power)))
-        power = _imul(power, A)
-        if power == _INT_IDENTITY:
+                          for ra, rb in zip(sums[-1], form.rots[p])))
+        p = form.product[p][r]
+        if p == 0:
             return tuple(families), tuple(sums)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _class_table(P: PlatycosmPresentation) -> _ClassTable:
-    reps = P.holonomy_reps
-    rot_coords = tuple(
-        _integral(transpose([P.lattice.coords(mat_vec(g.rot, b)) for b in P.lattice.basis]),
-                  "holonomy rotation")
-        for g in reps
-    )
-    coords = [P.lattice.coords(g.trans) for g in reps]
-    den = math.lcm(*(c.denominator for x in coords for c in x))
-    trans_coords = tuple(tuple(int(c * den) for c in x) for x in coords)
-    fams = tuple(_build_family(P, g, rot_coords[i]) for i, g in enumerate(reps) if i)
-    rot_index = {A: i for i, A in enumerate(rot_coords)}
-    by_rot = {g.rot: i for i, g in enumerate(reps)}
-    rep_of_rot = tuple(by_rot[transpose(g.rot)] for g in reps)  # inverse rotations
+    form = P.form
+    den = form.den
+    fams = tuple(_build_family(form, i, g) for i, g in enumerate(P.holonomy_reps) if i)
     screws = tuple(
-        (sum(a * c for a, c in zip(fam.axis_form, trans_coords[i + 1])),
+        (sum(a * c for a, c in zip(fam.axis_form, form.trans[i + 1])),
          den * math.gcd(*fam.axis_form))
         for i, fam in enumerate(fams)
     )
-    basis_den = math.lcm(*(c.denominator for row in P.lattice.basis for c in row))
     return _ClassTable(
         families=MappingProxyType({fam.rot: fam for fam in fams}),
         fams=fams,
         den=den,
-        rot_coords=rot_coords[1:],
-        trans_coords=trans_coords[1:],
+        rot_coords=form.rots[1:],
+        trans_coords=form.trans[1:],
         screws=screws,
         units=tuple(fam.step / (g * fam.axis_len) for fam, (_, g) in zip(fams, screws)),
-        cartesian=transpose(tuple(tuple(int(c * basis_den) for c in row)
-                                  for row in P.lattice.basis)),
-        cartesian_den=den * basis_den,
-        actions=_actions(fams, den, rot_coords, trans_coords, rot_index, rep_of_rot),
-        roots=tuple(_powers(A, rot_index) for A in rot_coords[1:]),
+        cartesian=transpose(form.basis),
+        cartesian_den=den * form.scale,
+        actions=_actions(fams, form),
+        roots=tuple(_powers(form, r) for r in range(1, len(form.rots))),
         shortest=min((f.min_positive_dot() / f.axis_len for f in fams), default=None),
     )
 
@@ -398,7 +365,7 @@ def _imprimitivity(table: _ClassTable, w: int, X, axis_value: int, k_max: int) -
                 continue
             S = [[q * p + s for p, s in zip(row_p, row_s)]
                  for row_p, row_s in zip(sums[-1], sums[j])]
-            shift = _iapply(S, table.trans_coords[r])
+            shift = mat_vec(S, table.trans_coords[r])
             scaled = [[table.den * c for c in row] for row in S]
             if solve_integer(scaled, [x - s for x, s in zip(X, shift)]) is not None:
                 return k
@@ -419,7 +386,7 @@ def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
         raise ValueError("witness is not an element of the deck group")
     table = _class_table(P)
     w = next(i for i, fam in enumerate(table.fams) if fam.rot == witness.rot)
-    X = [int(c * table.den) for c in P.lattice.coords(witness.trans)]
+    X = P.form.coords(witness.trans, table.den)
     axis_value = sum(a * x for a, x in zip(table.fams[w].axis_form, X))
     k_max = math.floor(abs(axis_value) * table.units[w] / table.shortest)
     return _imprimitivity(table, w, X, axis_value, k_max)
@@ -471,11 +438,11 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
     census = []
     for f, *z in keys:
         fam = table.fams[f]
-        X = [c + table.den * x for c, x in zip(table.trans_coords[f], _iapply(fam.basis, z))]
+        X = [c + table.den * x for c, x in zip(table.trans_coords[f], mat_vec(fam.basis, z))]
         a, g = table.screws[f]
         length = abs(a + z[0] * g) * table.units[f]
         k = _imprimitivity(table, f, X, a + z[0] * g, math.floor(length / table.shortest))
-        trans = tuple(Fraction(v, table.cartesian_den) for v in _iapply(table.cartesian, X))
+        trans = tuple(Fraction(v, table.cartesian_den) for v in mat_vec(table.cartesian, X))
         census.append(((length, fam.twist_over_pi, k), _trusted(fam.rot, trans)))
     return census
 

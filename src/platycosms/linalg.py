@@ -1,6 +1,8 @@
 """Exact rational and integer linear algebra for small (3x3) problems.
 
 Vectors are tuples of Fraction, matrices are row tuples of such vectors.
+The arithmetic helpers (dot, mat_vec, mat_mul, transpose, det3, adj3)
+only add and multiply, so they serve integer matrices just as well.
 Everything here is exact; no floating point enters any routine.
 """
 
@@ -56,10 +58,6 @@ def transpose(m: Mat3) -> Mat3:
     return tuple(zip(*m))  # type: ignore[return-value]
 
 
-def mat_sub(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))  # type: ignore[return-value]
-
-
 def det3(m: Mat3) -> Fraction:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -68,48 +66,37 @@ def det3(m: Mat3) -> Fraction:
     )
 
 
+def adj3(m):
+    """Adjugate (transposed cofactor matrix): adj3(m) . m = det3(m) * I.
+    Exact for integer and rational entries alike."""
+    return (
+        (
+            m[1][1] * m[2][2] - m[1][2] * m[2][1],
+            m[0][2] * m[2][1] - m[0][1] * m[2][2],
+            m[0][1] * m[1][2] - m[0][2] * m[1][1],
+        ),
+        (
+            m[1][2] * m[2][0] - m[1][0] * m[2][2],
+            m[0][0] * m[2][2] - m[0][2] * m[2][0],
+            m[0][2] * m[1][0] - m[0][0] * m[1][2],
+        ),
+        (
+            m[1][0] * m[2][1] - m[1][1] * m[2][0],
+            m[0][1] * m[2][0] - m[0][0] * m[2][1],
+            m[0][0] * m[1][1] - m[0][1] * m[1][0],
+        ),
+    )
+
+
 def inv3(m: Mat3) -> Mat3:
     """Inverse via the adjugate; raises ZeroDivisionError on singular input."""
-    d = det3(m)
-    cof = [
-        [
-            m[1][1] * m[2][2] - m[1][2] * m[2][1],
-            -(m[1][0] * m[2][2] - m[1][2] * m[2][0]),
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-        ],
-        [
-            -(m[0][1] * m[2][2] - m[0][2] * m[2][1]),
-            m[0][0] * m[2][2] - m[0][2] * m[2][0],
-            -(m[0][0] * m[2][1] - m[0][1] * m[2][0]),
-        ],
-        [
-            m[0][1] * m[1][2] - m[0][2] * m[1][1],
-            -(m[0][0] * m[1][2] - m[0][2] * m[1][0]),
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-        ],
-    ]
-    return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))  # type: ignore[return-value]
+    d = Fraction(det3(m))
+    return tuple(tuple(c / d for c in row) for row in adj3(m))  # type: ignore[return-value]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a small rational matrix by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+# nullspace and solve_rational_in_lattice have no caller in the package: the
+# layer trace of perfbench/spans.py wraps them by name, and the test oracles
+# use them.
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int = 3) -> list[Vec3]:
@@ -146,44 +133,6 @@ def fraction_to_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def fraction_sqrt(f: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    f = Fraction(f)
-    if f < 0:
-        raise ValueError("negative radicand")
-    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
-    """gcd of rationals: the positive generator of the group they generate."""
-    num = 0
-    den = 1
-    for v in values:
-        v = Fraction(v)
-        num = gcd(num * v.denominator, v.numerator * den)
-        den = den * v.denominator
-    return Fraction(num, den)
-
-
-def primitive_integer_vector(v: Vec3) -> tuple[int, int, int]:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    den = 1
-    for c in v:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in v]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)  # type: ignore[return-value]
 
 
 # --- integer lattice algorithms -------------------------------------------

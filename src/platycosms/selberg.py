@@ -46,7 +46,7 @@ from .errors import CutoffBudgetError
 from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice
 from .geodesics import _families, twist_factor, twisted_classes, weight
 from .linalg import dot, form_points, fraction_to_str, reduced_gram
-from .spectrum import circle_spectrum, spectrum_table
+from .spectrum import SPECTRAL_KEY_BUDGET, circle_spectrum, spectrum_table
 
 __all__ = [
     "HeatTraceConfig",
@@ -66,7 +66,6 @@ __all__ = [
     "heat_trace_csv",
 ]
 
-SPECTRAL_KEY_BUDGET = 2_000_000
 GEOMETRIC_RADIUS_BUDGET = 64.0
 
 

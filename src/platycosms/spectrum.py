@@ -43,18 +43,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import (
     CharacterSumError,
+    CutoffBudgetError,
     UnsupportedCircumferenceError,
     UnsupportedGeometryError,
 )
-from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation, translation_lattice
+from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation
 from .linalg import (
-    Vec3, dot, form_points, integer_kernel, inv3, mat_vec, reduced_gram, size_reduce,
-    transpose, vec,
+    Vec3, adj3, det3, dot, form_points, integer_kernel, inv3, mat_mul, mat_vec,
+    reduced_gram, size_reduce, transpose, vec,
 )
 
 __all__ = [
@@ -71,6 +72,18 @@ __all__ = [
     "is_isospectral",
     "circle_spectrum",
 ]
+
+# Largest norm key any spectrum (circles included), multiplicity or shell
+# enumerates, checked before the work starts.  spectrum_table(tetra, K) takes about 0.9 s at
+# K = 100,000 and grows like K^1.5 (Python 3.11, one core).
+SPECTRAL_KEY_BUDGET = 2_000_000
+
+
+def _check_budget(key: int, what: str) -> None:
+    if key > SPECTRAL_KEY_BUDGET:
+        raise CutoffBudgetError(
+            f"{what} to norm key {key} is over the budget of {SPECTRAL_KEY_BUDGET} keys"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -221,6 +234,7 @@ def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
     negation."""
     if key < 0:
         raise ValueError("norm keys are nonnegative")
+    _check_budget(key, "shell")
     _require_grid(Lstar)
     basis, gram = _gram_coordinates(Lstar)
     out = []
@@ -257,19 +271,37 @@ class _DualData(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _dual_action(P: PlatycosmPresentation) -> _DualData:
-    basis, gram = _gram_coordinates(dual_lattice(translation_lattice(P)))
-    lattice = Lattice(basis)
-    phases = [[4 * dot(d, g.trans) for d in basis] for g in P.holonomy_reps]
-    den = lcm(*(c.denominator for row in phases for c in row))
+    """The dual action from the integer form.  Coordinates y on the basis
+    dual to the lattice basis pair a dual vector with lattice coordinates
+    (y . x), so B^T acts on them by A^T and a translation with lattice
+    coordinates c/den has phase 4 y.c / den.  The reduced basis is U
+    times that one, with Gram matrix U G^-1 U^T for the lattice Gram
+    matrix G = basis basis^T / scale^2."""
+    form = P.form
+    gram = mat_mul(form.basis, transpose(form.basis))
+    gram_adj, gram_det = adj3(gram), det3(gram)
+    U = size_reduce(((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda u, w: dot(u, mat_vec(gram_adj, w)))
+    num = 4 * form.scale * form.scale
+    Q = mat_mul(mat_mul(U, gram_adj), transpose(U))
+    if any(num * c % gram_det for row in Q for c in row):
+        raise UnsupportedGeometryError(
+            "4 x Gram matrix of the dual lattice is not integral, so norm keys "
+            "are not integers"
+        )
+    Q = tuple(tuple(num * c // gram_det for c in row) for row in Q)
+    # U is unimodular: U^-1 = det(U) adj(U)
+    U_inv_t = transpose(tuple(tuple(det3(U) * c for c in row) for row in adj3(U)))
+    cartesian = mat_mul(U, form.adj)  # the reduced basis times det / scale
+    lattice = Lattice(tuple(tuple(Fraction(form.scale * c, form.det) for c in row)
+                            for row in cartesian))
 
     def ip(u, w):
-        return sum(u[i] * gram[i][j] * w[j] for i in range(3) for j in range(3))
+        return dot(u, mat_vec(Q, w))
 
     actions = []
-    for g, phase in zip(P.holonomy_reps, phases):
-        cols = [lattice.coords(mat_vec(transpose(g.rot), d)) for d in basis]
-        M = tuple(tuple(int(cols[j][i]) for j in range(3)) for i in range(3))
-        phase = tuple(int(c * den) for c in phase)
+    for A, c in zip(form.rots, form.trans):
+        M = mat_mul(mat_mul(U_inv_t, transpose(A)), transpose(U))
+        phase = tuple(4 * x for x in mat_vec(U, c))
         fixed = size_reduce(
             integer_kernel([[M[i][j] - (i == j) for j in range(3)] for i in range(3)]), ip
         )
@@ -277,9 +309,9 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
             M=M,
             phase=phase,
             fixed_gram=tuple(tuple(ip(u, w) for w in fixed) for u in fixed),
-            fixed_phase=tuple(sum(a * b for a, b in zip(f, phase)) for f in fixed),
+            fixed_phase=tuple(dot(f, phase) for f in fixed),
         ))
-    return _DualData(len(P.holonomy_reps), lattice, gram, den, tuple(actions))
+    return _DualData(len(P.holonomy_reps), lattice, Q, form.den, tuple(actions))
 
 
 def _quarter_turns(num: int, den: int) -> int:
@@ -319,6 +351,7 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     """Exact dimension of the holonomy-invariant subspace of the key shell."""
     if key < 0:
         raise ValueError("norm keys are nonnegative")
+    _check_budget(key, "multiplicity")
     data = _dual_action(P)
     re, im = _character_sum(data, (x for x, _ in form_points(data.gram, key, key)))
     return _finalize(key, re, im, data.m)
@@ -398,6 +431,7 @@ def spectrum_table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
     """Multiplicities of every norm key from 0 to max_key."""
     if max_key < 0:
         raise ValueError("max_key must be nonnegative")
+    _check_budget(max_key, "spectrum table")
     return _table(P, max_key)
 
 
@@ -405,6 +439,7 @@ def is_isospectral(
     P1: PlatycosmPresentation, P2: PlatycosmPresentation, max_key: int
 ) -> IsospectralVerdict:
     """Exact key-by-key comparison of two spectra up to max_key."""
+    _check_budget(max_key, "isospectrality check")
     t1 = spectrum_table(P1, max_key)
     t2 = spectrum_table(P2, max_key)
     diff = t1.first_difference(t2)
@@ -425,6 +460,7 @@ def circle_spectrum(circumference, max_key: int) -> SpectrumTable:
         raise UnsupportedCircumferenceError("circumference must be positive")
     if max_key < 0:
         raise ValueError("max_key must be nonnegative")
+    _check_budget(max_key, "circle spectrum")
     scale = Fraction(4) / (c * c)
     if scale.denominator != 1:
         raise UnsupportedCircumferenceError(

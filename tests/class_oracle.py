@@ -16,20 +16,18 @@ coordinates or the class-action table of `platycosms.geodesics`:
 
 import math
 from fractions import Fraction
+from math import gcd, isqrt
 
+from conftest import mat_sub
 from platycosms.euclid import Isometry, Lattice, compose, inverse
 from platycosms.linalg import (
     IDENTITY,
     dot,
     form_points,
-    fraction_gcd,
-    fraction_sqrt,
     hnf_rows,
     mat_mul,
-    mat_sub,
     mat_vec,
     nullspace,
-    primitive_integer_vector,
     reduced_gram,
     solve_rational_in_lattice,
     vec,
@@ -37,6 +35,41 @@ from platycosms.linalg import (
     vec_scale,
     vec_sub,
 )
+
+
+def fraction_gcd(values):
+    """gcd of rationals: the positive generator of the group they generate."""
+    num = 0
+    den = 1
+    for v in values:
+        v = Fraction(v)
+        num = gcd(num * v.denominator, v.numerator * den)
+        den = den * v.denominator
+    return Fraction(num, den)
+
+
+def fraction_sqrt(f):
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    f = Fraction(f)
+    if f < 0:
+        raise ValueError("negative radicand")
+    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
+    if pn * pn == f.numerator and pd * pd == f.denominator:
+        return Fraction(pn, pd)
+    return None
+
+
+def primitive_integer_vector(v):
+    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
+    den = math.lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(Fraction(c) * den) for c in v]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    ints = [c // g for c in ints]
+    if next(c for c in ints if c != 0) < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
 
 
 def _axis(rot):

@@ -2,8 +2,50 @@
 
 from fractions import Fraction
 
-from platycosms.euclid import Isometry, Lattice, PlatycosmPresentation
-from platycosms.linalg import mat, mat_mul, mat_vec, vec, vec_add, vec_sub
+from platycosms.euclid import (
+    IDENTITY_ISOMETRY, Isometry, Lattice, PlatycosmPresentation, compose, inverse,
+)
+from platycosms.linalg import mat, mat_mul, mat_vec, transpose, vec, vec_add, vec_sub
+
+
+def isometry_power(g: Isometry, n: int) -> Isometry:
+    """g composed with itself n times (n < 0: powers of the inverse)."""
+    if n < 0:
+        return isometry_power(inverse(g), -n)
+    out = IDENTITY_ISOMETRY
+    for _ in range(n):
+        out = compose(g, out)
+    return out
+
+
+def mat_sub(a, b):
+    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
+
+
+def rank(rows) -> int:
+    """Rank of a small rational matrix by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def same_lattice(a: Lattice, b: Lattice) -> bool:
+    """Whether two lattices, given on any bases, are equal as sets."""
+    return all(b.contains(v) for v in a.basis) and all(a.contains(v) for v in b.basis)
 
 
 def make_tricosm() -> PlatycosmPresentation:
@@ -25,16 +67,35 @@ _IDENTITY = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 _SWAP_XZ = mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
+# a rotation about x by the angle with cosine 3/5: rational, not signed-permutation
+_ROTATE_X = mat(
+    [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)], [0, Fraction(4, 5), Fraction(3, 5)]]
+)
+
+
+def _conjugate(P: PlatycosmPresentation, Q, name: str) -> PlatycosmPresentation:
+    """The same space moved by the orthogonal matrix Q: lattice Q Lambda,
+    reps (Q B Q^T, Q b)."""
+    lat = Lattice(tuple(mat_vec(Q, b) for b in P.lattice.basis))
+    reps = tuple(
+        Isometry(mat_mul(mat_mul(Q, g.rot), transpose(Q)), mat_vec(Q, g.trans))
+        for g in P.holonomy_reps
+    )
+    return PlatycosmPresentation(name, lat, reps)
+
+
 def swap_xz(P: PlatycosmPresentation) -> PlatycosmPresentation:
     """The same space conjugated by the x <-> z swap: for Tetra and Didi
     the long axis becomes x and the lattice 2Z x Z x Z, so the dual
     lattice leaves the Z x Z x (1/2)Z grid."""
-    lat = Lattice(tuple(mat_vec(_SWAP_XZ, b) for b in P.lattice.basis))
-    reps = tuple(
-        Isometry(mat_mul(mat_mul(_SWAP_XZ, g.rot), _SWAP_XZ), mat_vec(_SWAP_XZ, g.trans))
-        for g in P.holonomy_reps
-    )
-    return PlatycosmPresentation(P.name + "_x_long", lat, reps)
+    return _conjugate(P, _SWAP_XZ, P.name + "_x_long")
+
+
+def rotate_x(P: PlatycosmPresentation) -> PlatycosmPresentation:
+    """The same space turned about x by arccos(3/5): rotations with
+    denominator 25, screw axes such as (0, 4, -3), lattice vectors off
+    the integer grid."""
+    return _conjugate(P, _ROTATE_X, P.name + "_rotated")
 
 
 def make_dicosm() -> PlatycosmPresentation:

@@ -320,3 +320,48 @@ def test_class_enumeration_budget_exit_2(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _space_doc(change):
+    doc = presentation_to_json(preset("tetra"))
+    change(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _space_doc(lambda doc: doc.update(lattice=doc["lattice"][:2])),
+    _space_doc(lambda doc: doc.update(lattice=doc["lattice"] + [["1", "0", "0"]])),
+    _space_doc(lambda doc: doc["reps"][1].update(rot=doc["reps"][1]["rot"][:2])),
+    "[" * 100_000,
+], ids=["lattice_2_rows", "lattice_4_rows", "rot_2_rows", "deep_nesting"])
+def test_malformed_space_file_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "geodesics", "--space-file", str(path), "--max-length", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed space document: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_numeral_exit_2(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(_space_doc(lambda doc: doc["lattice"][0].__setitem__(0, "1e5000000")))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "geodesics", "--space-file", str(path), "--max-length", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed space document: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--space", "tetra", "--max-key", "99999999"),
+    ("verify", "--left", "tetra", "--right", "didi", "--max-key", "99999999"),
+    ("spectrum", "--circle", "1/2", "--max-key", "400000000000"),
+], ids=" ".join)
+def test_spectral_key_budget_exit_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err

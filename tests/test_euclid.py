@@ -2,11 +2,16 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import presentations_of, swap_xz
+import presentation_oracle
+from conftest import (
+    isometry_power, make_amphicosm, make_dicosm, make_tricosm, mat_sub, presentations_of, rank,
+    rotate_x, same_lattice, swap_xz,
+)
 
 from platycosms.errors import InvalidPresentationError, UnknownPresetError
 from platycosms.euclid import (
@@ -21,9 +26,7 @@ from platycosms.euclid import (
     QUARTER_TURN_SCREW,
     betti_one,
     compose,
-    fixed_sublattice_rank,
     inverse,
-    isometry_power,
     presentation_from_json,
     presentation_to_json,
     preset,
@@ -32,7 +35,7 @@ from platycosms.euclid import (
     volume,
 )
 from platycosms.linalg import (
-    IDENTITY, dot, mat, mat_mul, mat_sub, rank, vec, vec_add,
+    IDENTITY, dot, mat, mat_mul, vec, vec_add, vec_sub,
 )
 
 TAU = QUARTER_TURN_SCREW
@@ -150,7 +153,7 @@ def test_products_equal_validated_isometries(P):
 
 def test_preset_two_tall():
     P = preset("two_tall")
-    assert P.lattice.same_lattice(TWO_TALL_LATTICE)
+    assert same_lattice(P.lattice, TWO_TALL_LATTICE)
     assert P.holonomy_reps == (IDENTITY_ISOMETRY,)
 
 
@@ -223,9 +226,9 @@ def test_translation_lattice_is_two_tall(name):
     same_space, conjugate = presentations_of(preset(name))
     for P in same_space + [conjugate]:
         lat = translation_lattice(P)
-        assert lat.same_lattice(P.lattice)
+        assert same_lattice(lat, P.lattice)
         if P is not conjugate:
-            assert lat.same_lattice(TWO_TALL_LATTICE)
+            assert same_lattice(lat, TWO_TALL_LATTICE)
         # oracle: no product of reps and shifts yields a translation outside it
         for trans in _brute_force_pure_translations(P):
             assert lat.contains(trans)
@@ -266,6 +269,18 @@ def test_betti_one_examples():
     assert betti_one(preset("didi")) == 0
     assert betti_one(preset("cubical_torocosm")) == 3
     assert betti_one(preset("two_tall")) == 3
+
+
+def fixed_sublattice_rank(P: PlatycosmPresentation) -> int:
+    """Rank of the sublattice of the translation lattice fixed by every
+    holonomy rotational part (equals betti_one)."""
+    lat = translation_lattice(P)
+    rows = []
+    for g in P.holonomy_reps:
+        d = mat_sub(IDENTITY, g.rot)
+        for r in range(3):
+            rows.append([dot(d[r], b) for b in lat.basis])
+    return 3 - rank(rows)
 
 
 @pytest.mark.parametrize("name", ["tetra", "didi", "two_tall", "cubical_torocosm"])
@@ -352,3 +367,125 @@ def test_json_rationals_are_strings():
 def test_malformed_space_document():
     with pytest.raises(InvalidPresentationError):
         presentation_from_json({"name": "x", "lattice": [[1, 0], [0, 1]], "reps": []})
+
+
+# --- integer validator against the Fraction oracle ---------------------------------
+
+
+def _raw(P):
+    return [list(b) for b in P.lattice.basis], [(g.rot, g.trans) for g in P.holonomy_reps]
+
+
+def _shifted(reps, i, shift):
+    rot, trans = reps[i]
+    return reps[:i] + [(rot, vec_add(trans, vec(*shift)))] + reps[i + 1:]
+
+
+QUARTER_TURN_X = mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+
+
+def _mutations(P):
+    """(label, lattice rows, reps) breaking each invariant of P once."""
+    rows, reps = _raw(P)
+    skew = [rows[0], rows[1], [a + b for a, b in zip(rows[2], vec(Fraction(1, 3), 0, 0))]]
+    axis_step = [Fraction(c, 4) for c in rows[2]]
+    return [
+        ("identity_not_first", rows, [reps[1], reps[0]] + reps[2:]),
+        ("no_reps", rows, []),
+        ("repeated_rotation", rows, reps + _shifted(reps, 1, rows[2])[1:2]),
+        ("rotations_not_closed", rows, reps + [(QUARTER_TURN_X, (0, 0, 0))]),
+        ("lattice_not_preserved", skew, reps),
+        ("cosets_not_closed", rows, _shifted(reps, 1, axis_step)),
+        ("screw_without_translation", rows, _shifted(reps, 1, vec_sub(vec(0, 0, 0), reps[1][1]))),
+        ("not_orthogonal", rows, reps[:1] + [(mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), reps[1][1])]
+         + reps[2:]),
+        ("det_not_unit", rows, reps[:1] + [(tuple(tuple(2 * c for c in r) for r in reps[1][0]),
+                                            reps[1][1])] + reps[2:]),
+        ("degenerate_lattice", [rows[0], rows[1], [a + b for a, b in zip(rows[0], rows[1])]],
+         reps),
+    ]
+
+
+def _oracle_corpus():
+    spaces = [preset(name) for name in PRESET_NAMES] + [make_dicosm(), make_amphicosm(),
+                                                       make_tricosm()]
+    for name in ("tetra", "didi"):
+        same_space, conjugate = presentations_of(preset(name))
+        spaces += same_space[1:] + [conjugate, rotate_x(preset(name))]
+    spaces.append(rotate_x(make_dicosm()))
+    cases = [(f"{P.name}-{i}", *_raw(P)) for i, P in enumerate(spaces)]
+    for P in (preset("tetra"), preset("didi"), make_dicosm(), rotate_x(preset("tetra")),
+              swap_xz(preset("didi"))):
+        cases += [(f"{P.name}-{label}", rows, reps) for label, rows, reps in _mutations(P)]
+    inversion = mat([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    cases.append(("no_fixed_axis", [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                  [(IDENTITY, (0, 0, 0)), (inversion, (Fraction(1, 2), 0, 0))]))
+    return cases
+
+
+ORACLE_CORPUS = _oracle_corpus()
+
+
+def _integer_verdict(rows, reps):
+    try:
+        PlatycosmPresentation("case", Lattice(rows), tuple(Isometry(r, t) for r, t in reps))
+    except InvalidPresentationError as exc:
+        return str(exc)
+    return None
+
+
+def test_oracle_corpus_breaks_every_invariant():
+    messages = {presentation_oracle.verdict(rows, reps) for _, rows, reps in ORACLE_CORPUS}
+    assert messages == {
+        None,
+        "first holonomy rep must be the identity",
+        "holonomy rotational parts must be distinct",
+        "holonomy rotational parts are not closed under product",
+        "holonomy does not preserve the translation lattice",
+        "coset representatives are not closed modulo the lattice",
+        "holonomy rep composed with a lattice translation fixes a point",
+        "a holonomy rep with no +1 eigenvalue always has a fixed point",
+        "rotational part is not orthogonal",
+        "lattice basis is degenerate",
+    }
+
+
+@pytest.mark.parametrize("label,rows,reps", ORACLE_CORPUS, ids=[c[0] for c in ORACLE_CORPUS])
+def test_integer_validator_matches_fraction_oracle(label, rows, reps):
+    """Same verdict and same message as the Fraction validator."""
+    assert _integer_verdict(rows, reps) == presentation_oracle.verdict(rows, reps)
+
+
+@pytest.mark.parametrize("doc_change", [
+    lambda doc: doc.update(lattice=doc["lattice"][:2]),
+    lambda doc: doc.update(lattice=doc["lattice"] + [["1", "0", "0"]]),
+    lambda doc: doc["reps"][1].update(rot=doc["reps"][1]["rot"][:2]),
+    lambda doc: doc["reps"][1].update(trans=doc["reps"][1]["trans"][:2]),
+    lambda doc: doc["lattice"][0].append("0"),
+    lambda doc: doc.update(lattice=["100", "010", "002"]),
+    lambda doc: doc["reps"][1].update(trans="001"),
+], ids=["lattice_2_rows", "lattice_4_rows", "rot_2_rows", "trans_2_entries", "row_4_entries",
+        "rows_as_strings", "trans_as_string"])
+def test_malformed_shapes_are_refused(doc_change):
+    doc = presentation_to_json(preset("tetra"))
+    doc_change(doc)
+    shape = "malformed space document: .*(3x3|3 entries|expected a list)"
+    with pytest.raises(InvalidPresentationError, match=shape):
+        presentation_from_json(doc)
+
+
+@pytest.mark.parametrize("numeral", ["1e5000000", "1E-5000000", "1" * 5000, "1/" + "1" * 5000])
+def test_oversized_numerals_are_refused(numeral):
+    doc = presentation_to_json(preset("tetra"))
+    doc["lattice"][0][0] = numeral
+    start = time.perf_counter()
+    with pytest.raises(InvalidPresentationError, match="digits"):
+        presentation_from_json(doc)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_numerals_within_the_limit_are_read():
+    doc = presentation_to_json(preset("tetra"))
+    doc["lattice"][2][2] = "2e0"
+    doc["reps"][1]["trans"][2] = "5e-1"
+    assert presentation_from_json(doc) == preset("tetra")

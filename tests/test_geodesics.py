@@ -1,5 +1,6 @@
 """Twisted geodesic classes: census, imprimitivity, weights, balance."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,6 @@ from platycosms.euclid import (
     PlatycosmPresentation,
     compose,
     inverse,
-    isometry_power,
     preset,
     translation,
 )
@@ -37,7 +37,7 @@ from platycosms.linalg import vec
 
 import class_oracle
 from class_oracle import unoriented_class as _unoriented_class
-from conftest import make_dicosm, make_tricosm, presentations_of, swap_xz
+from conftest import isometry_power, make_dicosm, make_tricosm, presentations_of, swap_xz
 
 TETRA = preset("tetra")
 DIDI = preset("didi")
@@ -287,11 +287,16 @@ def test_zero_length_screw_is_refused():
     presentation fails validation, and class enumeration refuses it too."""
     dicosm = make_dicosm()
     fixed = Isometry(dicosm.holonomy_reps[1].rot, vec(0, 0, 0))
+    reps = (dicosm.holonomy_reps[0], fixed)
+    with pytest.raises(InvalidPresentationError, match="fixes a point"):
+        PlatycosmPresentation("fixed", dicosm.lattice, reps)
     space = object.__new__(PlatycosmPresentation)
     object.__setattr__(space, "name", "fixed")
     object.__setattr__(space, "lattice", dicosm.lattice)
-    object.__setattr__(space, "holonomy_reps", (dicosm.holonomy_reps[0], fixed))
-    with pytest.raises(InvalidPresentationError):
+    object.__setattr__(space, "holonomy_reps", reps)
+    # the integer form the constructor would have refused
+    object.__setattr__(space, "form", dataclasses.replace(dicosm.form, trans=((0, 0, 0),) * 2))
+    with pytest.raises(InvalidPresentationError, match="zero-length screw"):
         twisted_classes(space, Fraction(1))
 
 

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from class_oracle import fraction_gcd, fraction_sqrt, primitive_integer_vector
+from conftest import rank, same_lattice
 from platycosms.euclid import Lattice
 from platycosms.linalg import (
     IDENTITY,
     det3,
     dot,
-    fraction_gcd,
-    fraction_sqrt,
     fraction_to_str,
     hnf_rows,
     integer_kernel,
@@ -19,8 +19,6 @@ from platycosms.linalg import (
     mat,
     mat_mul,
     nullspace,
-    primitive_integer_vector,
-    rank,
     reduced_gram,
     smith_normal_form,
     solve_integer,
@@ -157,7 +155,7 @@ def test_fraction_helpers():
 ])
 def test_reduced_gram_is_a_basis_with_its_gram_matrix(rows):
     basis, gram, den = reduced_gram(mat(rows))
-    assert Lattice(mat(basis)).same_lattice(Lattice(mat(rows)))
+    assert same_lattice(Lattice(mat(basis)), Lattice(mat(rows)))
     assert [[Fraction(c, den) for c in r] for r in gram] == [
         [dot(u, w) for w in basis] for u in basis
     ]

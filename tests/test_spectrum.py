@@ -8,11 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_amphicosm, make_dicosm, make_tricosm, swap_xz
+from conftest import (
+    make_amphicosm, make_dicosm, make_tricosm, rotate_x, same_lattice, swap_xz,
+)
 import platycosms
+from platycosms import selberg
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import (
     CharacterSumError,
+    CutoffBudgetError,
     UnsupportedCircumferenceError,
     UnsupportedGeometryError,
 )
@@ -21,12 +25,15 @@ from platycosms.euclid import (
     Isometry,
     Lattice,
     PlatycosmPresentation,
+    betti_one,
     preset,
     translation_lattice,
+    volume,
 )
-from platycosms.geodesics import twisted_classes
+from platycosms.geodesics import imprimitivity, twisted_classes
 from platycosms.linalg import dot, mat
 from platycosms.spectrum import (
+    SPECTRAL_KEY_BUDGET,
     DualVector,
     OrbitSpec,
     SpectrumTable,
@@ -49,14 +56,14 @@ HALF_DUAL = dual_lattice(Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])))
 
 
 def test_dual_of_two_tall_lattice():
-    assert HALF_DUAL.same_lattice(
-        Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]]))
+    assert same_lattice(
+        HALF_DUAL, Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]]))
     )
 
 
 def test_dual_of_cubic_is_self():
     cubic = Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert dual_lattice(cubic).same_lattice(cubic)
+    assert same_lattice(dual_lattice(cubic), cubic)
 
 
 def test_dual_involution_random_integer_lattices():
@@ -69,7 +76,7 @@ def test_dual_involution_random_integer_lattices():
         except Exception:
             continue
         produced += 1
-        assert dual_lattice(dual_lattice(L)).same_lattice(L)
+        assert same_lattice(dual_lattice(dual_lattice(L)), L)
 
 
 def test_dual_pairings_are_integral():
@@ -372,6 +379,25 @@ def test_caches_stay_within_bound():
         assert info.currsize <= CACHE_SIZE
 
 
+def test_key_budget_is_checked_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("enumeration started")
+
+    for name in ("_dual_action", "_table", "form_points", "_gram_coordinates"):
+        monkeypatch.setattr(spectrum_module, name, no_work)
+    over = SPECTRAL_KEY_BUDGET + 1
+    for call in (
+        lambda: spectrum_table(TETRA, over),
+        lambda: is_isospectral(TETRA, DIDI, over),
+        lambda: multiplicity(TETRA, over),
+        lambda: shell(HALF_DUAL, over),
+        lambda: circle_spectrum(Fraction(1, 2), over),
+    ):
+        with pytest.raises(CutoffBudgetError, match="budget"):
+            call()
+    assert selberg.SPECTRAL_KEY_BUDGET == SPECTRAL_KEY_BUDGET
+
+
 def test_spectrum_table_validation():
     with pytest.raises(ValueError):
         SpectrumTable(5, ((1, 2), (0, 1)))
@@ -470,3 +496,18 @@ def test_unreduced_representatives_give_identical_invariants():
     assert sigs(twisted_classes(other, Fraction(5, 2))) == sigs(
         twisted_classes(TETRA, Fraction(5, 2))
     )
+
+
+@pytest.mark.parametrize("name", ["tetra", "didi"])
+def test_rational_rotation_conjugate_has_preset_invariants(name):
+    """Turned by a rotation with denominator 5, the space keeps its
+    spectrum, classes, volume and Betti number."""
+    P = preset(name)
+    Q = rotate_x(P)
+    assert Q.form.den == P.form.den and Q.form.rots == P.form.rots
+    assert spectrum_table(Q, 2000) == spectrum_table(P, 2000)
+    left, right = twisted_classes(P, Fraction(9, 2)), twisted_classes(Q, Fraction(9, 2))
+    assert [(c.signature, c.count) for c in left] == [(c.signature, c.count) for c in right]
+    for c in right:
+        assert Q.contains(c.witness) and imprimitivity(c.witness, Q) == c.imprimitivity
+    assert (volume(Q), betti_one(Q)) == (volume(P), betti_one(P))
