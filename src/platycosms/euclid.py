@@ -87,6 +87,13 @@ def _mat3(rows, what: str) -> Mat3:
     return mat(rows)
 
 
+def _vec3(entries) -> Vec3:
+    entries = tuple(entries)
+    if len(entries) != 3:
+        raise InvalidPresentationError("translation must have 3 entries")
+    return vec(*entries)
+
+
 def _scaled(rows) -> tuple[int, tuple]:
     """(d, d * rows): the least common denominator of rational rows and
     the rows scaled by it to integers."""
@@ -103,10 +110,7 @@ class Isometry:
 
     def __post_init__(self):
         object.__setattr__(self, "rot", _mat3(self.rot, "rotational part"))
-        trans = tuple(self.trans)
-        if len(trans) != 3:
-            raise InvalidPresentationError("translation must have 3 entries")
-        object.__setattr__(self, "trans", vec(*trans))
+        object.__setattr__(self, "trans", _vec3(self.trans))
         # with R = d * rot integral: rot^T rot = I and det rot = +-1 in ints
         d, R = _scaled(self.rot)
         if mat_mul(transpose(R), R) != ((d * d, 0, 0), (0, d * d, 0), (0, 0, d * d)):
@@ -327,10 +331,18 @@ class PlatycosmPresentation:
     lattice: Lattice
     holonomy_reps: tuple[Isometry, ...]
     form: IntegerForm = field(init=False, compare=False, repr=False)
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "holonomy_reps", tuple(self.holonomy_reps))
         object.__setattr__(self, "form", _lower(self.lattice, self.holonomy_reps))
+
+    def __hash__(self) -> int:
+        # every memo cache keys on presentations: hash the lattice and the
+        # reps' Fractions once, on first use
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.name, self.lattice, self.holonomy_reps)))
+        return self._hash
 
     def rep_by_rotation(self, rot: Mat3) -> Isometry:
         for g in self.holonomy_reps:
@@ -487,14 +499,20 @@ def _numerals(value, depth: int):
 
 
 def presentation_from_json(doc: dict) -> PlatycosmPresentation:
+    """The presentation of a space document.  Numerals and shapes are read
+    first, and their errors are reported as a malformed document; the
+    isometries, the lattice and the group are checked after that, with
+    their own messages."""
     try:
         name = doc["name"]
         basis = _mat3(_numerals(doc["lattice"], 2), "lattice basis")
-        reps = tuple(
-            Isometry(_numerals(r["rot"], 2), _numerals(r["trans"], 1)) for r in doc["reps"]
-        )
+        parts = [
+            (_mat3(_numerals(r["rot"], 2), "rotational part"), _vec3(_numerals(r["trans"], 1)))
+            for r in doc["reps"]
+        ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise InvalidPresentationError(f"malformed space document: {exc}") from exc
+    reps = tuple(Isometry(rot, trans) for rot, trans in parts)
     return PlatycosmPresentation(str(name), Lattice(basis), reps)
 
 

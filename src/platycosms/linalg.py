@@ -17,8 +17,13 @@ Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 
 
+def _frac(x) -> Fraction:
+    # Fraction(f) of a Fraction f builds a copy; keep f itself
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def vec(x, y, z) -> Vec3:
-    return (Fraction(x), Fraction(y), Fraction(z))
+    return (_frac(x), _frac(y), _frac(z))
 
 
 def mat(rows) -> Mat3:
@@ -307,48 +312,63 @@ def solve_rational_in_lattice(
 # --- integer points of positive definite quadratic forms ---------------------
 
 
-def _det(H) -> int:
-    if not H:
-        return 1
-    return sum(
-        (-1) ** j * H[0][j] * _det([row[:j] + row[j + 1:] for row in H[1:]])
-        for j in range(len(H))
-    )
-
-
 def form_points(H, lo: int, hi: int):
     """Every integer vector y with lo <= y^T H y <= hi, as (y, y^T H y).
 
-    H is a positive definite integer matrix of size 0 to 3.  The leading
-    coordinates run over the box |y_i| <= sqrt(hi * (H^-1)_ii) that holds
-    the ellipsoid; the last one is solved from the quadratic, so a single
-    shell (lo = hi) costs one integer square root per box point.
+    H is a positive definite integer matrix of size 0 to 3.  The first
+    coordinate runs over |y_0| <= sqrt(hi * (H^-1)_00), the bound of the
+    ellipsoid; of three, the second runs over the cross-section at y_0.
+    The last one is solved from the quadratic, so a single shell
+    (lo = hi) costs one integer square root per head and keeps only the
+    heads whose discriminant is a perfect square.
     """
     n = len(H)
     if n == 0:
         if lo <= 0 <= hi:
             yield (), 0
         return
-    det = _det(H)
-    ranges = []
-    for i in range(n - 1):
-        minor = [row[:i] + row[i + 1:] for k, row in enumerate(H) if k != i]
-        bound = isqrt(hi * _det(minor) // det)
-        ranges.append(range(-bound, bound + 1))
+    q = H[-1][-1]
     # heads: (leading coordinates, their cross term with the last one,
     # their own part of the form)
     if n == 1:
         heads = [((), 0, 0)]
     elif n == 2:
-        heads = (((a,), H[1][0] * a, H[0][0] * a * a) for a in ranges[0])
+        h00, h10 = H[0][0], H[1][0]
+        bound = isqrt(hi * q // (h00 * q - h10 * h10))
+        heads = (((a,), h10 * a, h00 * a * a) for a in range(-bound, bound + 1))
     else:
         h00, h01, h11, h20, h21 = H[0][0], H[0][1], H[1][1], H[2][0], H[2][1]
+        # C, the minor without y_0, bounds a^2 <= hi C / det; at each a,
+        # minimising over y_2 leaves the cross-section
+        # (C b + B a)^2 <= q (C hi - det a^2)
+        det = det3(H)
+        B, C = q * h01 - h20 * h21, q * h11 - h21 * h21
+        bound = isqrt(hi * C // det)
+
+        def row(a):
+            t = isqrt(q * (C * hi - det * a * a))
+            return range(-((t + B * a) // C), (t - B * a) // C + 1)
+
         heads = (
             ((a, b), h20 * a + h21 * b, (h00 * a + 2 * h01 * b) * a + h11 * b * b)
-            for a in ranges[0]
-            for b in ranges[1]
+            for a in range(-bound, bound + 1)
+            for b in row(a)
         )
-    q = H[-1][-1]
+    if lo == hi:
+        # y_last is a root of (q*y + lin)^2 = lin^2 + q*(hi - const): the
+        # discriminant must be a perfect square s^2 and q must divide -lin +- s
+        for head, lin, const in heads:
+            disc = lin * lin + q * (hi - const)
+            if disc < 0:
+                continue
+            s = isqrt(disc)
+            if s * s != disc:
+                continue
+            for u in (-s, s) if s else (0,):
+                y, rest = divmod(u - lin, q)
+                if not rest:
+                    yield head + (y,), hi
+        return
     for head, lin, const in heads:
         # q * (y^T H y) = (q*y_last + lin)^2 + q*const - lin^2
         outer = lin * lin + q * (hi - const)
@@ -362,6 +382,13 @@ def form_points(H, lo: int, hi: int):
                 yield head + (y,), const + y * (q * y + 2 * lin)
 
 
+def _round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, ties to even (as `round`),
+    for d > 0."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 def size_reduce(rows, ip) -> list:
     """Pairwise size-reduced basis of the lattice spanned by `rows` under
     the inner product `ip`, longest vector first.  Every step is
@@ -371,7 +398,7 @@ def size_reduce(rows, ip) -> list:
     while changed:
         changed = False
         for i, j in permutations(range(len(rows)), 2):
-            mu = round(Fraction(ip(rows[i], rows[j]), ip(rows[j], rows[j])))
+            mu = _round_div(ip(rows[i], rows[j]), ip(rows[j], rows[j]))
             if mu:
                 rows[i] = tuple(a - mu * b for a, b in zip(rows[i], rows[j]))
                 changed = True

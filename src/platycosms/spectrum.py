@@ -26,12 +26,16 @@ Cost of a table up to key K:
                   points of the ball in Q coordinates;
   twisted terms   the points of the integer fixed sublattice ker(Bg^T - 1)
                   in the ball: O(sqrt K) on the line of a screw, O(K) on
-                  the plane of a glide.
+                  the plane of a glide;
+  self-check      `multiplicity` at the keys 0, 1, K//2 and K: O(K) for
+                  the four together.
 
-`multiplicity` evaluates one key independently: it enumerates that single
-shell, solving for the last coordinate (O(K) work), and applies every
-rep's full action to each vector.  Each table re-checks a few of its keys
-against it.
+`multiplicity` evaluates one key independently of the table's fixed-line
+data.  It walks the O(K) (a, b) heads of the ellipsoid's cross-sections
+and keeps a head only when the discriminant of the quadratic in the last
+coordinate is a perfect square, which yields that shell's points with one
+integer square root per head.  To each point it applies every rep's full
+matrix and phase, testing M x = x in plain integer arithmetic.
 
 `shell`, `orbit_dims` and the `DualVector`/`OrbitSpec` labels describe
 frequencies on the (a, b, c) grid Z x Z x (1/2)Z and refuse a dual
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import ge
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -144,17 +149,18 @@ class SpectrumTable:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((int(k), int(m)) for k, m in self.entries)
-        )
-        keys = [k for k, _ in self.entries]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        entries = tuple((int(k), int(m)) for k, m in self.entries)
+        object.__setattr__(self, "entries", entries)
+        # strictly increasing keys are sorted and distinct, and lie between
+        # the first key and the last
+        keys = [k for k, _ in entries]
+        if any(map(ge, keys, keys[1:])):
             raise ValueError("entries must be sorted by key without repeats")
-        if any(k < 0 or k > self.max_key for k in keys):
+        if keys and (keys[0] < 0 or keys[-1] > self.max_key):
             raise ValueError("entry key out of range")
-        if any(m <= 0 for _, m in self.entries):
+        if any(m <= 0 for _, m in entries):
             raise ValueError("stored multiplicities must be positive")
-        if self.entries and self.entries[0] != (0, 1):
+        if entries and entries[0] != (0, 1):
             raise ValueError("key 0 must carry the single constant eigenfunction")
 
     def as_dict(self) -> dict[int, int]:
@@ -328,11 +334,18 @@ _IM = (0, 1, 0, -1)
 
 def _character_sum(data: _DualData, points) -> tuple[int, int]:
     """sum over points x and reps g with Mg x = x of the phase, as (re, im)."""
+    den = data.den
+    # each rep's full matrix and phase, as 12 flat ints
+    reps = [(*act.M[0], *act.M[1], *act.M[2], *act.phase) for act in data.actions]
     re = im = 0
-    for x in points:
-        for act in data.actions:
-            if all(sum(a * b for a, b in zip(row, x)) == xi for row, xi in zip(act.M, x)):
-                r = _quarter_turns(sum(a * b for a, b in zip(act.phase, x)), data.den)
+    for x0, x1, x2 in points:
+        for m00, m01, m02, m10, m11, m12, m20, m21, m22, p0, p1, p2 in reps:
+            if (
+                m00 * x0 + m01 * x1 + m02 * x2 == x0
+                and m10 * x0 + m11 * x1 + m12 * x2 == x1
+                and m20 * x0 + m21 * x1 + m22 * x2 == x2
+            ):
+                r = _quarter_turns(p0 * x0 + p1 * x1 + p2 * x2, den)
                 re += _RE[r]
                 im += _IM[r]
     return re, im
@@ -418,9 +431,9 @@ def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
             entries.append((key, mult))
     table = SpectrumTable(max_key, tuple(entries))
     # spot-check the decomposition against independent per-key shell sums
-    probes = {0, 1, max_key // 2, max_key}
-    for key in sorted(p for p in probes if 0 <= p <= max_key):
-        if multiplicity(P, key) != table.as_dict().get(key, 0):
+    mults = dict(entries)
+    for key in sorted({0, 1, max_key // 2, max_key}):
+        if key <= max_key and multiplicity(P, key) != mults.get(key, 0):
             raise CharacterSumError(
                 f"aggregate table disagrees with per-key multiplicity at {key}"
             )

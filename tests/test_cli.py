@@ -343,6 +343,17 @@ def test_malformed_space_file_exit_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_non_orthogonal_rotation_is_not_malformed(tmp_path, capsys):
+    """Valid JSON whose rotation is not orthogonal is an invalid isometry,
+    reported with its own message."""
+    path = tmp_path / "space.json"
+    path.write_text(_space_doc(
+        lambda doc: doc["reps"][1].update(rot=[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    ))
+    code, out, err = run(capsys, "geodesics", "--space-file", str(path), "--max-length", "1")
+    assert (code, out, err) == (2, "", "error: rotational part is not orthogonal\n")
+
+
 def test_oversized_numeral_exit_2(tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(_space_doc(lambda doc: doc["lattice"][0].__setitem__(0, "1e5000000")))

@@ -1,17 +1,20 @@
 """Exact linear algebra: diagonalization, lattice solvers, helpers."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from class_oracle import fraction_gcd, fraction_sqrt, primitive_integer_vector
-from conftest import rank, same_lattice
-from platycosms.euclid import Lattice
+from conftest import make_amphicosm, rank, same_lattice, swap_xz
+from platycosms.euclid import Lattice, preset
 from platycosms.linalg import (
     IDENTITY,
     det3,
     dot,
+    form_points,
     fraction_to_str,
     hnf_rows,
     integer_kernel,
@@ -24,7 +27,9 @@ from platycosms.linalg import (
     solve_integer,
     solve_rational_in_lattice,
     vec,
+    _round_div,
 )
+from platycosms.spectrum import _dual_action
 
 
 def _mat_apply(a, x):
@@ -162,3 +167,60 @@ def test_reduced_gram_is_a_basis_with_its_gram_matrix(rows):
     norms = [dot(b, b) for b in basis]
     assert norms == sorted(norms, reverse=True)
 
+
+def test_round_div_rounds_half_to_even():
+    assert all(_round_div(n, d) == round(Fraction(n, d))
+               for n in range(-60, 61) for d in range(1, 13))
+
+
+# forms for the point enumerator: 1-, 2- and 3-D, a diagonal one, the dual
+# forms Q of the amphicosm and of the x <-> z conjugates, and a skew form
+# with every cross term non-zero
+FORMS = {
+    "1d": ((3,),),
+    "2d": ((2, 1), (1, 3)),
+    "3d": ((2, 1, 0), (1, 2, 1), (0, 1, 3)),
+    "diag_4_4_1": ((4, 0, 0), (0, 4, 0), (0, 0, 1)),
+    "amphicosm": _dual_action(make_amphicosm()).gram,
+    "tetra_x_long": _dual_action(swap_xz(preset("tetra"))).gram,
+    "didi_x_long": _dual_action(swap_xz(preset("didi"))).gram,
+    "skew": ((5, 2, 1), (2, 6, -3), (1, -3, 7)),
+}
+
+
+def _value(H, y):
+    return sum(a * h * b for a, row in zip(y, H) for h, b in zip(row, y))
+
+
+def _det(H):
+    if len(H) == 3:
+        return det3(H)
+    return H[0][0] * H[1][1] - H[0][1] * H[1][0] if len(H) == 2 else H[0][0]
+
+
+@pytest.mark.parametrize("H", FORMS.values(), ids=FORMS.keys())
+def test_single_shell_matches_the_ball(H):
+    """The perfect-square shell walk finds exactly the ball's points of
+    each value, empty shells and the origin included."""
+    ball = list(form_points(H, 0, 300))
+    assert all(_value(H, y) == k for y, k in ball)
+    empty = 0
+    for k in range(301):
+        shell = sorted(form_points(H, k, k))
+        assert shell == sorted((y, v) for y, v in ball if v == k)
+        empty += not shell
+    assert empty and sorted(form_points(H, 0, 0)) == [((0,) * len(H), 0)]
+
+
+@pytest.mark.parametrize("H", FORMS.values(), ids=FORMS.keys())
+def test_ball_matches_brute_force(H):
+    """Every point of a box that holds the ellipsoid, filtered by value:
+    each eigenvalue is at most the trace, so the least one is at least
+    det / trace^(n-1)."""
+    n, hi = len(H), 40
+    trace = sum(H[i][i] for i in range(n))
+    reach = math.isqrt(hi * trace ** (n - 1) // _det(H)) + 1
+    box = itertools.product(range(-reach, reach + 1), repeat=n)
+    expected = [(y, v) for y in box for v in [_value(H, y)] if v <= hi]
+    assert sorted(form_points(H, 0, hi)) == sorted(expected)
+    assert sorted(form_points(H, 7, hi)) == sorted(p for p in expected if p[1] >= 7)

@@ -27,6 +27,8 @@ from platycosms.euclid import (
     PlatycosmPresentation,
     betti_one,
     preset,
+    presentation_from_json,
+    presentation_to_json,
     translation_lattice,
     volume,
 )
@@ -339,8 +341,10 @@ def test_x_long_conjugates_isospectral():
 
 
 def test_table_probes_call_multiplicity(monkeypatch):
-    """Each new table re-checks some keys against the public per-key
-    multiplicity; a disagreement raises instead of returning the table."""
+    """Each new table re-checks the keys 0, 1, K//2 and K against the public
+    per-key multiplicity; a disagreement raises instead of returning the
+    table."""
+    expected = spectrum_table(TETRA, 40)
     probed = []
 
     def wrong(P, key):
@@ -352,6 +356,45 @@ def test_table_probes_call_multiplicity(monkeypatch):
     with pytest.raises(CharacterSumError):
         spectrum_table(fresh, 40)
     assert probed == [0]
+
+    probed.clear()
+
+    def recording(P, key):
+        probed.append(key)
+        return multiplicity(P, key)
+
+    monkeypatch.setattr(spectrum_module, "multiplicity", recording)
+    fresh = PlatycosmPresentation("tetra-probe-2", TETRA.lattice, TETRA.holonomy_reps)
+    assert spectrum_table(fresh, 40) == expected
+    assert probed == [0, 1, 20, 40]
+
+
+def test_table_names_the_least_bad_key(monkeypatch):
+    """Character sums that are not multiples of m fail at the least such key."""
+    real = spectrum_module._shell_sizes
+
+    def off_by_one(gram, max_key):
+        sizes = real(gram, max_key)
+        for key in (8, 4):
+            sizes[key] += 1
+        return sizes
+
+    monkeypatch.setattr(spectrum_module, "_shell_sizes", off_by_one)
+    fresh = PlatycosmPresentation("tetra-bad-sizes", TETRA.lattice, TETRA.holonomy_reps)
+    with pytest.raises(CharacterSumError, match="at key 4 is "):
+        spectrum_table(fresh, 40)
+
+
+def test_equal_presentations_share_cache_entries():
+    """Presentations built separately but equal hash alike, and the second
+    hits the table cache entry of the first."""
+    first = preset("tetra")
+    table = spectrum_table(first, 37)
+    for copy in (preset("tetra"), presentation_from_json(presentation_to_json(first))):
+        assert copy is not first and copy == first and hash(copy) == hash(first)
+        hits = spectrum_module._table.cache_info().hits
+        assert spectrum_table(copy, 37) is table
+        assert spectrum_module._table.cache_info().hits == hits + 1
 
 
 def test_caches_stay_within_bound():
@@ -407,6 +450,13 @@ def test_spectrum_table_validation():
         SpectrumTable(5, ((0, 1), (3, 0)))
     with pytest.raises(ValueError):
         SpectrumTable(5, ((0, 2),))
+    for entries, message in [
+        (((0, 1), (2, 1), (2, 1), (4, 1)), "sorted"),
+        (((0, 1), (3, 1), (2, 1), (4, 1)), "sorted"),
+        (((-1, 1), (0, 1)), "out of range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SpectrumTable(5, entries)
     with pytest.raises(ValueError):
         spectrum_table(TETRA, -1)
 
@@ -442,6 +492,20 @@ def test_not_isospectral_tetra_two_tall():
     assert verdict.first_differing_key == 1
     assert verdict.left_multiplicity == 0
     assert verdict.right_multiplicity == 2
+
+
+def test_first_difference_cases():
+    """The smallest key up to the shared max_key whose multiplicities
+    differ, with 0 for a key that one table lacks."""
+    t = SpectrumTable(9, ((0, 1), (3, 2), (5, 1)))
+    assert t.first_difference(t) is None
+    assert t.first_difference(SpectrumTable(9, ((0, 1), (3, 4), (5, 2)))) == (3, 2, 4)
+    assert t.first_difference(SpectrumTable(9, ((0, 1), (2, 1), (3, 2)))) == (2, 0, 1)
+    assert t.first_difference(SpectrumTable(9, ((0, 1), (3, 2)))) == (5, 1, 0)
+    # keys past the shorter table's max_key are not compared
+    assert t.first_difference(SpectrumTable(4, ((0, 1), (3, 2)))) is None
+    assert SpectrumTable(5, ((0, 1), (5, 1))).first_difference(
+        SpectrumTable(9, ((0, 1),))) == (5, 1, 0)
 
 
 @pytest.mark.parametrize("name", ["tetra", "didi", "two_tall", "cubical_torocosm"])
