@@ -3,6 +3,8 @@
 Vectors are tuples of Fraction, matrices are row tuples of such vectors.
 The arithmetic helpers (dot, mat_vec, mat_mul, transpose, det3, adj3)
 only add and multiply, so they serve integer matrices just as well.
+mat_mul and mat_vec are unrolled for 3x3 matrices and 3-vectors only: they
+take lists or tuples, always return tuples, and refuse any other shape.
 Everything here is exact; no floating point enters any routine.
 """
 
@@ -51,12 +53,19 @@ def dot(a: Vec3, b: Vec3) -> Fraction:
 
 
 def mat_vec(m: Mat3, v: Vec3) -> Vec3:
-    return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)  # type: ignore[return-value]
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+        (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+        (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+    )
 
 
 def transpose(m: Mat3) -> Mat3:

@@ -1,6 +1,7 @@
 """Shared test fixtures."""
 
 from fractions import Fraction
+from math import lcm
 
 from platycosms.euclid import (
     IDENTITY_ISOMETRY, Isometry, Lattice, PlatycosmPresentation, compose, inverse,
@@ -23,8 +24,13 @@ def mat_sub(a, b):
 
 
 def rank(rows) -> int:
-    """Rank of a small rational matrix by Gaussian elimination."""
-    m = [list(r) for r in rows]
+    """Rank of a small rational matrix by fraction-free integer elimination.
+    Each row is first scaled by the lcm of its denominators, which does not
+    change the rank; the elimination then stays in ints."""
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([int(x * den) for x in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     r = 0
@@ -33,10 +39,11 @@ def rank(rows) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        p = m[r]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f != 0:
+                m[i] = [p[c] * a - f * b for a, b in zip(m[i], p)]
         r += 1
         if r == nrows:
             break

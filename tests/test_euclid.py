@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -295,18 +296,24 @@ def test_betti_one_equals_fixed_sublattice_rank(name):
 @pytest.mark.parametrize("name", ["tetra", "didi"])
 def test_fixed_point_free_sweep(name):
     """For every non-identity rep (B, b) and every lattice shift with
-    |b + lam| <= 10, the equation (I - B) x = b + lam has no solution."""
+    |b + lam| <= 10, the equation (I - B) x = b + lam has no solution.
+    The walk is in integers: the whole system is scaled by the common
+    denominator D of I - B, b and the lattice basis, which changes neither
+    rank, and the filter becomes |D (b + lam)|^2 <= 100 D^2."""
     P = preset(name)
     for g in P.holonomy_reps[1:]:
-        a_rows = [list(row) for row in mat_sub(IDENTITY, g.rot)]
+        a = mat_sub(IDENTITY, g.rot)
+        den = lcm(*(x.denominator for row in (*a, g.trans, *P.lattice.basis) for x in row))
+        a_rows = [[int(x * den) for x in row] for row in a]
+        t = [int(x * den) for x in g.trans]
+        b0, b1, b2 = ([int(x * den) for x in b] for b in P.lattice.basis)
         base_rank = rank(a_rows)
         checked = 0
         for n0 in range(-11, 12):
             for n1 in range(-11, 12):
                 for n2 in range(-6, 7):
-                    lam = P.lattice.from_coords((n0, n1, n2))
-                    rhs = vec_add(g.trans, lam)
-                    if dot(rhs, rhs) > 100:
+                    rhs = [t[i] + n0 * b0[i] + n1 * b1[i] + n2 * b2[i] for i in range(3)]
+                    if rhs[0] ** 2 + rhs[1] ** 2 + rhs[2] ** 2 > 100 * den * den:
                         continue
                     checked += 1
                     augmented = [row + [rhs[i]] for i, row in enumerate(a_rows)]

@@ -65,6 +65,14 @@ def test_rank_and_nullspace():
         assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
 
 
+def test_rank_of_rational_rows():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rank([[half, third, 1], [1, 2 * third, 2]]) == 1
+    assert rank([[half, third, 1], [1, third, 2]]) == 2
+    assert rank([[0, 0, 0], [0, 0, third]]) == 1
+    assert rank([]) == 0
+
+
 def test_smith_normal_form_random():
     rng = random.Random(7)
     for _ in range(200):
