@@ -211,7 +211,10 @@ class IntegerForm:
     x -> rots[i] x + trans[i] / den, and rep a composed with rep b has
     rotation rots[product[a][b]]; rep inverse[a] has the inverse
     rotation of rep a.  `adj` is the adjugate of basis^T, so the
-    coordinates of a vector v are scale * adj v / det."""
+    coordinates of a vector v are scale * adj v / det.  `fixed[i - 1]`,
+    the one kernel of rotation i > 0, is a basis of the integer
+    functionals f with f rots[i] = f: freeness, screw axes and the
+    spectrum's fixed dual sublattices are all read from it."""
 
     scale: int
     basis: IntMat
@@ -222,6 +225,7 @@ class IntegerForm:
     trans: tuple[IntVec, ...]
     product: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
+    fixed: tuple[tuple[IntVec, ...], ...]
 
     def coords(self, v: Vec3, den: int = 1) -> Optional[IntVec]:
         """den times the lattice coordinates of v, or None when they are
@@ -289,17 +293,19 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
                 )
     # (A, x + c/den) fixes a point iff f . (x + c/den) = 0 for every
     # functional f fixed by A (f A = f), solvable for integral x
+    fixed = []
     for A, c in zip(rots[1:], trans[1:]):
-        fixed = integer_kernel([[int(i == j) - A[j][i] for j in range(3)] for i in range(3)])
-        if not fixed:
+        kernel = integer_kernel([[int(i == j) - A[j][i] for j in range(3)] for i in range(3)])
+        if not kernel:
             raise InvalidPresentationError(
                 "a holonomy rep with no +1 eigenvalue always has a fixed point"
             )
-        rows = [[den * x for x in f] for f in fixed]
-        if solve_integer(rows, [-dot(f, c) for f in fixed]) is not None:
+        rows = [[den * x for x in f] for f in kernel]
+        if solve_integer(rows, [-dot(f, c) for f in kernel]) is not None:
             raise InvalidPresentationError(
                 "holonomy rep composed with a lattice translation fixes a point"
             )
+        fixed.append(tuple(map(tuple, kernel)))
     return IntegerForm(
         scale=scale,
         basis=basis,
@@ -310,6 +316,7 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
         trans=tuple(trans),
         product=tuple(product),
         inverse=tuple(row.index(0) for row in product),
+        fixed=tuple(fixed),
     )
 
 

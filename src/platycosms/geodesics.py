@@ -12,14 +12,15 @@ we extract, exactly:
                  transformation delta
 
 Conjugacy is decided exactly, on Python ints.  Each twisted holonomy rep
-heads a family, and the translation lattice Lambda gets a basis adapted
-to the family's screw axis: a step vector whose axis component is the
-positive generator `step` of <Lambda, axis>, and a basis w1, w2 of
-Lambda in the axis-perpendicular plane.  In these family coordinates a
-deck element of the family is a point (n, y1, y2) of Z^3, with
-translation rep_trans + n*step_vector + y1*w1 + y2*w2 and length
-|alpha + n*step| / |axis|.  Conjugation by a lattice translation moves
-(y1, y2) by the rank-2 sublattice (I - B)Lambda, so a class under
+heads a family, with the screw axis of the rotation's one kernel (kept
+by the integer form), and the translation lattice Lambda gets a basis
+adapted to it: a step vector whose axis component generates
+<Lambda, axis>, and a basis w1, w2 of Lambda in the axis-perpendicular
+plane.  In these family coordinates a deck element of the family is a
+point (n, y1, y2) of Z^3, with translation rep_trans + n*step_vector +
+y1*w1 + y2*w2 and length |a + n*g| times the family's rational unit, a
+and g being integer axis values.  Conjugation by a lattice translation
+moves (y1, y2) by the rank-2 sublattice (I - B)Lambda, so a class under
 translation conjugacy is n together with (y1, y2) reduced modulo the
 Hermite normal form of that sublattice.
 
@@ -39,8 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import CutoffBudgetError, InvalidPresentationError, UnsupportedGeometryError
 from .euclid import (
@@ -48,7 +48,6 @@ from .euclid import (
 )
 from .linalg import (
     IDENTITY,
-    Mat3,
     adj3,
     det3,
     dot,
@@ -138,14 +137,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class _TwistFamily:
-    """Exact screw-axis data for one holonomy rotation, with the family
+    """Exact screw data for one holonomy rotation, with the family
     coordinates: lattice coordinates x = basis . (n, y1, y2)."""
 
-    rot: Mat3
-    axis_len: Fraction
     twist_over_pi: Fraction
-    alpha: Fraction  # <rep translation, axis>
-    step: Fraction  # positive generator of <Lambda, axis>
+    # axis_form . X = a + n*g for the family point (n, y1, y2), X the scaled
+    # lattice coordinates of its translation; its length is |a + n*g| * unit
+    screw: tuple[int, int]
+    unit: Fraction
+    spacing: Fraction  # g * unit, the length between consecutive n
     axis_form: IntVec  # integer multiple of x -> <x, axis> on lattice coordinates
     basis: IntMat  # columns: step vector, w1, w2 in lattice coordinates
     basis_inv: IntMat
@@ -157,25 +157,20 @@ class _TwistFamily:
         (p, _), (_, r) = self.conj_lattice
         return p * r
 
-    def min_positive_dot(self) -> Fraction:
-        """Smallest positive |alpha + step*Z| (nonzero by freeness)."""
-        r = self.alpha - self.step * math.floor(self.alpha / self.step)
-        if r == 0:
-            raise InvalidPresentationError("family contains a zero-length screw")
-        return min(r, self.step - r)
 
-
-def _build_family(form: IntegerForm, i: int, g: Isometry) -> _TwistFamily:
+def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
     A = form.rots[i]
-    kernel = integer_kernel([[A[r][c] - (r == c) for c in range(3)] for r in range(3)])
-    if len(kernel) != 1:
+    fixed = form.fixed[i - 1]
+    if len(fixed) != 1:
         raise UnsupportedGeometryError(
             "twisted holonomy must be a rotation with a one-dimensional axis"
         )
-    # the primitive integer vector along the axis, first nonzero entry positive
-    axis = mat_vec(transpose(form.basis), kernel[0])
-    unit = math.gcd(*axis) * (1 if next(c for c in axis if c) > 0 else -1)
-    axis = tuple(c // unit for c in axis)
+    # the fixed functional f pairs lattice coordinates with the dual vector
+    # basis^-1 f, which the rotation fixes: the primitive integer vector along
+    # adj(basis) f, first nonzero entry positive, is the axis
+    axis = mat_vec(adj3(form.basis), fixed[0])
+    content = math.gcd(*axis) * (1 if next(c for c in axis if c) > 0 else -1)
+    axis = tuple(c // content for c in axis)
     norm = dot(axis, axis)
     axis_len = math.isqrt(norm)
     if axis_len * axis_len != norm:
@@ -184,11 +179,13 @@ def _build_family(form: IntegerForm, i: int, g: Isometry) -> _TwistFamily:
     if twist is None:
         raise UnsupportedGeometryError("twist is not a rational multiple of pi")
 
-    # <b, axis> for the basis vectors b is raw / scale; ints / den in lowest terms
+    # <b, axis> for the basis vectors b is raw / scale = h * ints / scale, so
+    # the translation with scaled lattice coordinates X has axis component
+    # ints . X * h / (den * scale): a length is |ints . X| * unit
     raw = mat_vec(form.basis, axis)
     h = math.gcd(form.scale, *raw)
-    den = form.scale // h
     ints = tuple(c // h for c in raw)
+    unit = Fraction(h, form.den * form.scale * axis_len)
     g12, x1, x2 = _ext_gcd(ints[0], ints[1])
     gcd_all, y12, y3 = _ext_gcd(g12, ints[2])
     step_coords = (x1 * y12, x2 * y12, y3)
@@ -210,12 +207,15 @@ def _build_family(form: IntegerForm, i: int, g: Isometry) -> _TwistFamily:
     H = hnf_rows([[diff[1][k], diff[2][k]] for k in range(3)])
     if len(H) != 2 or H[1][0] != 0 or H[0][0] <= 0 or H[1][1] <= 0:
         raise UnsupportedGeometryError("conjugation sublattice is not rank 2")
+    # the rep translation has ints . X = a, the step vector den * gcd_all = g
+    a, g = dot(ints, form.trans[i]), form.den * gcd_all
+    if a % g == 0:
+        raise InvalidPresentationError("family contains a zero-length screw")
     return _TwistFamily(
-        rot=g.rot,
-        axis_len=Fraction(axis_len),
         twist_over_pi=twist,
-        alpha=Fraction(dot(form.trans[i], raw), form.den * form.scale),
-        step=Fraction(gcd_all, den),
+        screw=(a, g),
+        unit=unit,
+        spacing=g * unit,
         axis_form=ints,
         basis=basis,
         basis_inv=basis_inv,
@@ -230,16 +230,9 @@ class _ClassTable:
     coordinates of rep translations are stored times `den`, their common
     denominator."""
 
-    families: Mapping[Mat3, _TwistFamily]  # read-only, by rotation
     fams: tuple[_TwistFamily, ...]
     den: int
-    rot_coords: tuple[IntMat, ...]  # each family's rotation on lattice coordinates
     trans_coords: tuple[IntVec, ...]  # den * lattice coordinates of the rep translation
-    # (a, g) with axis_form . X = a + n*g for the family point (n, y1, y2),
-    # X the scaled lattice coordinates of its translation; a length is
-    # |a + n*g| times the family's unit
-    screws: tuple[tuple[int, int], ...]
-    units: tuple[Fraction, ...]
     # Cartesian translation = cartesian . X / cartesian_den
     cartesian: IntMat
     cartesian_den: int
@@ -249,8 +242,7 @@ class _ClassTable:
     # per family r of rotation order o: the family index of A_r^j (None for
     # the identity) for j < o, and the power sums I + ... + A_r^(j-1), j <= o
     roots: tuple[tuple[tuple, tuple], ...]
-    # least length over all families; building it refuses a zero-length screw
-    shortest: Optional[Fraction]
+    shortest: Optional[Fraction]  # least length over all families
 
 
 def _actions(fams, form: IntegerForm) -> tuple[tuple[tuple, ...], ...]:
@@ -310,32 +302,19 @@ def _powers(form: IntegerForm, r: int) -> tuple[tuple, tuple]:
 @lru_cache(maxsize=CACHE_SIZE)
 def _class_table(P: PlatycosmPresentation) -> _ClassTable:
     form = P.form
-    den = form.den
-    fams = tuple(_build_family(form, i, g) for i, g in enumerate(P.holonomy_reps) if i)
-    screws = tuple(
-        (sum(a * c for a, c in zip(fam.axis_form, form.trans[i + 1])),
-         den * math.gcd(*fam.axis_form))
-        for i, fam in enumerate(fams)
-    )
+    fams = tuple(_build_family(form, i) for i in range(1, len(form.rots)))
     return _ClassTable(
-        families=MappingProxyType({fam.rot: fam for fam in fams}),
         fams=fams,
-        den=den,
-        rot_coords=form.rots[1:],
+        den=form.den,
         trans_coords=form.trans[1:],
-        screws=screws,
-        units=tuple(fam.step / (g * fam.axis_len) for fam, (_, g) in zip(fams, screws)),
         cartesian=transpose(form.basis),
-        cartesian_den=den * form.scale,
+        cartesian_den=form.den * form.scale,
         actions=_actions(fams, form),
         roots=tuple(_powers(form, r) for r in range(1, len(form.rots))),
-        shortest=min((f.min_positive_dot() / f.axis_len for f in fams), default=None),
+        # |a + n*g| is least at a mod g or at -a mod g
+        shortest=min((min(f.screw[0] % f.screw[1], -f.screw[0] % f.screw[1]) * f.unit
+                      for f in fams), default=None),
     )
-
-
-def _families(P: PlatycosmPresentation) -> Mapping[Mat3, _TwistFamily]:
-    """The twist families of P by rotation, as a read-only mapping."""
-    return _class_table(P).families
 
 
 # --- imprimitivity ------------------------------------------------------------
@@ -357,11 +336,11 @@ def _imprimitivity(table: _ClassTable, w: int, X, axis_value: int, k_max: int) -
     solvable in integers (Smith reduction).  A root's axis value times k
     is the witness's, and roots of one axis share its step, so k divides
     the scaled axis value and a congruence sorts out the roots."""
-    g = table.screws[w][1]
+    g = table.fams[w].screw[1]
     for k in _divisors(axis_value, k_max):
         for r, (powers, sums) in enumerate(table.roots):
             q, j = divmod(k, len(powers))
-            if powers[j] != w or (axis_value // k - table.screws[r][0]) % g:
+            if powers[j] != w or (axis_value // k - table.fams[r].screw[0]) % g:
                 continue
             S = [[q * p + s for p, s in zip(row_p, row_s)]
                  for row_p, row_s in zip(sums[-1], sums[j])]
@@ -385,10 +364,10 @@ def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
     if not P.contains(witness):
         raise ValueError("witness is not an element of the deck group")
     table = _class_table(P)
-    w = next(i for i, fam in enumerate(table.fams) if fam.rot == witness.rot)
+    w = next(i for i, rep in enumerate(P.holonomy_reps[1:]) if rep.rot == witness.rot)
     X = P.form.coords(witness.trans, table.den)
-    axis_value = sum(a * x for a, x in zip(table.fams[w].axis_form, X))
-    k_max = math.floor(abs(axis_value) * table.units[w] / table.shortest)
+    axis_value = dot(table.fams[w].axis_form, X)
+    k_max = math.floor(abs(axis_value) * table.fams[w].unit / table.shortest)
     return _imprimitivity(table, w, X, axis_value, k_max)
 
 
@@ -401,12 +380,15 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
     table = _class_table(P)
     if not table.fams:
         return []
-    ranges = []
+    # |a + n*g| * unit <= max_length for n in [lo, hi], counted on the
+    # bounds: a range this long may not have a len()
+    bounds = []
     for fam in table.fams:
-        bound = max_length * fam.axis_len
-        ranges.append(range(math.ceil((-bound - fam.alpha) / fam.step),
-                            math.floor((bound - fam.alpha) / fam.step) + 1))
-    candidates = sum(len(ns) * fam.index for ns, fam in zip(ranges, table.fams))
+        a, g = fam.screw
+        reach = max_length / fam.unit
+        bounds.append((-((reach + a) // g), (reach - a) // g))
+    candidates = sum(max(0, hi - lo + 1) * fam.index
+                     for (lo, hi), fam in zip(bounds, table.fams))
     if candidates > CLASS_CANDIDATE_BUDGET:
         raise CutoffBudgetError(
             f"class enumeration to length {fraction_to_str(max_length)} needs "
@@ -419,10 +401,10 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
     hnf = [fam.conj_lattice for fam in table.fams]
     seen = set()
     keys = []
-    for f, (fam, ns) in enumerate(zip(table.fams, ranges)):
+    for f, (fam, (lo, hi)) in enumerate(zip(table.fams, bounds)):
         (p, _), (_, q) = fam.conj_lattice
         acts = table.actions[f]
-        for n in ns:
+        for n in range(lo, hi + 1):
             for y1 in range(p):
                 for y2 in range(q):
                     key = (f, n, y1, y2)
@@ -439,11 +421,12 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
     for f, *z in keys:
         fam = table.fams[f]
         X = [c + table.den * x for c, x in zip(table.trans_coords[f], mat_vec(fam.basis, z))]
-        a, g = table.screws[f]
-        length = abs(a + z[0] * g) * table.units[f]
+        a, g = fam.screw
+        length = abs(a + z[0] * g) * fam.unit
         k = _imprimitivity(table, f, X, a + z[0] * g, math.floor(length / table.shortest))
         trans = tuple(Fraction(v, table.cartesian_den) for v in mat_vec(table.cartesian, X))
-        census.append(((length, fam.twist_over_pi, k), _trusted(fam.rot, trans)))
+        census.append(((length, fam.twist_over_pi, k),
+                       _trusted(P.holonomy_reps[f + 1].rot, trans)))
     return census
 
 

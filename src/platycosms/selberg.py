@@ -43,8 +43,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CutoffBudgetError
-from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice
-from .geodesics import _families, twist_factor, twisted_classes, weight
+from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice, volume
+from .geodesics import _class_table, twist_factor, twisted_classes, weight
 from .linalg import dot, form_points, fraction_to_str, reduced_gram
 from .spectrum import SPECTRAL_KEY_BUDGET, circle_spectrum, spectrum_table
 
@@ -87,6 +87,10 @@ class HeatTraceConfig:
             raise ValueError("heat time t must be positive and finite")
         if not 0 < self.eps < math.inf:
             raise ValueError("target accuracy eps must be positive and finite")
+        # both evaluators weigh key k by exp(-pi^2 t k): an infinite pi^2 t
+        # makes the key-0 term exp(-inf * 0), a NaN
+        if math.pi * math.pi * self.t == math.inf:
+            raise CutoffBudgetError(f"heat time t = {self.t:g} is outside the float range")
 
 
 @dataclass(frozen=True)
@@ -207,12 +211,12 @@ def _cylinder_tail(P: PlatycosmPresentation, S: float, t: float) -> float:
     """Bound on the cylinder terms of classes longer than S.
 
     Each holonomy family contributes lengths on an arithmetic progression
-    with spacing step/axis_len and at most 2*index translation-conjugacy
+    with the family's spacing and at most 2*index translation-conjugacy
     classes per length (inversion/conjugation folding only reduces that);
     x*exp(-x^2/4t) is decreasing beyond sqrt(2t) <= S."""
     total = 0.0
-    for fam in _families(P).values():
-        step = float(fam.step / fam.axis_len)
+    for fam in _class_table(P).fams:
+        step = float(fam.spacing)
         f = float(twist_factor(fam.twist_over_pi))
         per_length = 2.0 * fam.index * f / (4 * math.sqrt(math.pi * t))
 
@@ -226,12 +230,6 @@ def _cylinder_tail(P: PlatycosmPresentation, S: float, t: float) -> float:
 
         total += _sum_with_ratio_majorant(term, ratio)
     return total
-
-
-def _lattice_and_volume(P: PlatycosmPresentation) -> tuple[Lattice, Fraction]:
-    """The translation lattice and the volume (as `volume`), derived once."""
-    lat = translation_lattice(P)
-    return lat, lat.covolume() / len(P.holonomy_reps)
 
 
 def _kernel_prefactor(vol: Fraction, t: float) -> float:
@@ -293,7 +291,7 @@ def spectral_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> HeatT
 def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> HeatTrace:
     """K(t) from geometry: lattice image terms within a certified radius
     plus closed-form cylinder terms of all classes enumerated to it."""
-    lat, vol = _lattice_and_volume(P)
+    lat, vol = translation_lattice(P), volume(P)
     S = cfg.geometric_cutoff
     if S is None:
         S = _geometric_cutoff(P, cfg.t, cfg.eps, lat, vol)
@@ -403,8 +401,7 @@ def counting_function(P: PlatycosmPresentation, s) -> CountingSample:
     s = Fraction(s)
     if s < 0:
         raise ValueError("radius must be nonnegative")
-    lat, vol = _lattice_and_volume(P)
-    jump = vol * lattice_count(lat, s)
+    jump = volume(P) * lattice_count(translation_lattice(P), s)
     cyl = Fraction(0)
     if s > 0:
         for c in twisted_classes(P, s):

@@ -59,7 +59,7 @@ from .errors import (
 )
 from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation
 from .linalg import (
-    Vec3, adj3, det3, dot, form_points, integer_kernel, inv3, mat_mul, mat_vec,
+    Vec3, adj3, det3, dot, form_points, inv3, mat_mul, mat_vec,
     reduced_gram, size_reduce, transpose, vec,
 )
 
@@ -257,9 +257,11 @@ class _RepAction(NamedTuple):
     """One holonomy rep acting on dual coordinates x.
 
     `M` is the integer matrix of B^T, and the phase of a fixed x is
-    i^(4 v.b) with 4 v.b = phase.x / den.  `fixed_gram` is Q restricted to
-    a reduced basis of the fixed sublattice ker(M - 1), and `fixed_phase`
-    gives the phase numerators of that basis."""
+    i^(4 v.b) with 4 v.b = phase.x / den.  For a twisted rep,
+    `fixed_gram` is Q restricted to a reduced basis of the fixed
+    sublattice ker(M - 1), and `fixed_phase` gives the phase numerators
+    of that basis; both are empty for the identity, whose term the table
+    takes from the shell sizes."""
 
     M: tuple[tuple[int, ...], ...]
     phase: tuple[int, ...]
@@ -282,7 +284,9 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
     (y . x), so B^T acts on them by A^T and a translation with lattice
     coordinates c/den has phase 4 y.c / den.  The reduced basis is U
     times that one, with Gram matrix U G^-1 U^T for the lattice Gram
-    matrix G = basis basis^T / scale^2."""
+    matrix G = basis basis^T / scale^2.  On reduced coordinates B^T is
+    M = U^-T A^T U^T, so its fixed sublattice ker(M - 1) is U^-T times
+    the rotation's kernel ker(A^T - 1) that the integer form keeps."""
     form = P.form
     gram = mat_mul(form.basis, transpose(form.basis))
     gram_adj, gram_det = adj3(gram), det3(gram)
@@ -305,12 +309,10 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
         return dot(u, mat_vec(Q, w))
 
     actions = []
-    for A, c in zip(form.rots, form.trans):
+    for i, (A, c) in enumerate(zip(form.rots, form.trans)):
         M = mat_mul(mat_mul(U_inv_t, transpose(A)), transpose(U))
         phase = tuple(4 * x for x in mat_vec(U, c))
-        fixed = size_reduce(
-            integer_kernel([[M[i][j] - (i == j) for j in range(3)] for i in range(3)]), ip
-        )
+        fixed = size_reduce([mat_vec(U_inv_t, f) for f in form.fixed[i - 1]], ip) if i else ()
         actions.append(_RepAction(
             M=M,
             phase=phase,

@@ -291,6 +291,10 @@ def test_subcommand_required(capsys):
     ("heat-trace", "--space", "tetra", "--eps", "inf", "--t", "0.1"),
     ("heat-trace", "--space", "tetra", "--t", "1e-300"),
     ("heat-trace", "--space", "tetra", "--t", "1e300"),
+    # pi^2 t overflows: the key-0 term would be a NaN
+    ("exercise", "--t", "1e308"),
+    ("exercise", "--t", "1e308", "--format", "csv"),
+    ("heat-trace", "--space", "tetra", "--t", "1e308", "--format", "csv"),
 ], ids=" ".join)
 def test_heat_times_out_of_reach_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -320,6 +324,13 @@ def test_class_enumeration_budget_exit_2(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_geodesics_beyond_machine_size_exit_2(capsys):
+    code, out, err = run(capsys, "geodesics", "--space", "tetra", "--max-length", "1e400")
+    assert code == 2 and out == ""
+    assert err.startswith("error: class enumeration to length 1") and err.count("\n") == 1
+    assert "over the budget" in err
 
 
 def _space_doc(change):

@@ -6,15 +6,21 @@ from libm, which may differ in the last digit between platforms.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from platycosms import cli
 from platycosms.cli import build_parser, main
+from platycosms.euclid import (
+    Isometry, Lattice, PlatycosmPresentation, presentation_to_json, preset,
+)
+from platycosms.linalg import mat, mat_mul, mat_vec, vec, vec_add, vec_sub
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -55,6 +61,46 @@ def run(capsys, argv):
 )
 def test_output_matches_golden_hash(capsys, argv, code, digest):
     got_code, out, err = run(capsys, argv)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _moved(P: PlatycosmPresentation) -> PlatycosmPresentation:
+    """P with its lattice on a unimodularly changed basis and its origin
+    shifted by a rational vector s, (B, b) -> (B, b + s - B s): the same
+    space, presented differently."""
+    s = vec(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5))
+    reps = tuple(
+        Isometry(g.rot, vec_add(g.trans, vec_sub(s, mat_vec(g.rot, s))))
+        for g in P.holonomy_reps
+    )
+    lattice = Lattice(mat_mul(mat([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), P.lattice.basis))
+    return PlatycosmPresentation(P.name, lattice, reps)
+
+
+# {tetra} and {didi} stand for space files of the moved presets
+GOLDEN_FILES = [
+    (("geodesics", "--space-file", "{tetra}", "--max-length", "9/2"), 0,
+     "9f13ee3c5491da15c6214dccb29e836d24cd8a7f93143ea16f1ce5269ffb093b"),
+    (("geodesics", "--space-file", "{didi}", "--max-length", "9/2"), 0,
+     "70143fcce6a498eee831838178242c54bab9c8fc170ec1e666bed8889ef1d565"),
+    (("balance", "--left-file", "{tetra}", "--right-file", "{didi}", "--max-length", "9/2"), 0,
+     "8214cfd3d6a7598add0737d5f65aed7409fa8d110480429ca6f5d6fc0750a5d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_FILES,
+    ids=["-".join(a.strip("{}") for a in argv if not a.startswith("--") and a != "9/2")
+         for argv, _, _ in GOLDEN_FILES],
+)
+def test_space_file_output_matches_golden_hash(tmp_path, capsys, argv, code, digest):
+    paths = {}
+    for name in ("tetra", "didi"):
+        # the file name is printed as the space label
+        paths[name] = tmp_path / f"{name}_moved.json"
+        paths[name].write_text(json.dumps(presentation_to_json(_moved(preset(name)))))
+    got_code, out, err = run(capsys, [a.format(**paths) for a in argv])
     assert (got_code, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -36,7 +36,7 @@ from platycosms.euclid import (
     volume,
 )
 from platycosms.linalg import (
-    IDENTITY, dot, mat, mat_mul, vec, vec_add, vec_sub,
+    IDENTITY, dot, mat, mat_mul, mat_vec, vec, vec_add, vec_sub,
 )
 
 TAU = QUARTER_TURN_SCREW
@@ -206,19 +206,30 @@ def test_rep_order_gives_lattice_translation():
 
 def _brute_force_pure_translations(P, box=2):
     """Oracle: translation parts of all products rep_i.(lattice shift).rep_j
-    with identity rotational part, over a coordinate box."""
+    with identity rotational part, over a coordinate box.  The product
+    g.(lam).h has rotation R_g R_h and translation R_g (lam + t_h) + t_g;
+    with every rotation, translation and basis entry scaled by their common
+    denominator D to ints, D^2 times that translation is integral."""
+    reps = P.holonomy_reps
+    den = lcm(*(x.denominator for g in reps for row in (*g.rot, g.trans) for x in row),
+              *(x.denominator for row in P.lattice.basis for x in row))
+
+    def scaled(rows):
+        return [[int(x * den) for x in row] for row in rows]
+
+    rots = [scaled(g.rot) for g in reps]
+    trans = scaled(g.trans for g in reps)
+    b0, b1, b2 = scaled(P.lattice.basis)
     found = []
-    for g in P.holonomy_reps:
-        for h in P.holonomy_reps:
-            if mat_mul(g.rot, h.rot) != IDENTITY:
+    for g, (rg, tg) in enumerate(zip(rots, trans)):
+        for h, th in enumerate(trans):
+            if mat_mul(rg, rots[h]) != tuple(tuple(den * den * (i == j) for j in range(3))
+                                             for i in range(3)):
                 continue  # no shift between them gives a translation
-            for n0 in range(-box, box + 1):
-                for n1 in range(-box, box + 1):
-                    for n2 in range(-box, box + 1):
-                        lam = P.lattice.from_coords((n0, n1, n2))
-                        elem = compose(g, compose(translation(lam), h))
-                        if elem.is_translation:
-                            found.append(elem.trans)
+            for n0, n1, n2 in itertools.product(range(-box, box + 1), repeat=3):
+                v = [n0 * b0[i] + n1 * b1[i] + n2 * b2[i] + th[i] for i in range(3)]
+                found.append(tuple(Fraction(x + den * t, den * den)
+                                   for x, t in zip(mat_vec(rg, v), tg)))
     return found
 
 

@@ -24,7 +24,7 @@ from platycosms.euclid import (
 from platycosms.geodesics import (
     GeodesicClass,
     _class_census,
-    _families,
+    _class_table,
     balance_table,
     balance_to_csv,
     classes_to_csv,
@@ -261,19 +261,24 @@ def test_enumerator_matches_element_oracle(space):
 def test_families_are_read_only():
     space = PlatycosmPresentation("tetra-ro", TETRA.lattice, TETRA.holonomy_reps)
     before = twisted_classes(space, Fraction(2))
-    fams = _families(space)
-    with pytest.raises((AttributeError, TypeError)):
-        fams.clear()
+    fams = _class_table(space).fams
     with pytest.raises(TypeError):
-        fams[TAU.rot] = None
-    assert len(_families(space)) == 3
+        fams[0] = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fams[0].screw = (0, 1)
+    assert len(_class_table(space).fams) == 3
     twisted_classes.cache_clear()
+    _class_table.cache_clear()
+    assert _class_table(space).fams == fams
     assert twisted_classes(space, Fraction(2)) == before
 
 
 def test_enumeration_over_budget_is_refused():
     with pytest.raises(CutoffBudgetError):
         twisted_classes(DIDI, Fraction(10**9))
+    # more n values than a range can count (over 2^63) are counted exactly
+    with pytest.raises(CutoffBudgetError, match="over the budget"):
+        twisted_classes(TETRA, Fraction(10**30))
     # spaces without twisted classes still pay one row per half-integer
     with pytest.raises(CutoffBudgetError):
         balance_table(preset("two_tall"), preset("cubical_torocosm"), Fraction(10**9))

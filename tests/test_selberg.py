@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from platycosms.cli import DEFAULT_T_GRID
 from platycosms.errors import CutoffBudgetError
 from platycosms.euclid import Lattice, preset, volume
 from platycosms.linalg import dot, inv3, mat, transpose
@@ -176,6 +177,17 @@ def test_config_validation():
         HeatTraceConfig(1.0, 0.0)
 
 
+def test_heat_time_beyond_float_range_is_refused():
+    """Where pi^2 t overflows, the key-0 term exp(-pi^2 t * 0) would be a
+    NaN reported with a tail bound of 0; the config refuses such t for
+    every evaluator.  Just below, the trace is the constant term."""
+    with pytest.raises(CutoffBudgetError, match="outside the float range"):
+        HeatTraceConfig(1e308, 1e-10)
+    cfg = HeatTraceConfig(1.8e307, 1e-10)
+    for trace in (spectral_heat_trace(TETRA, cfg), circle_heat_trace(Fraction(2), cfg)):
+        assert (trace.value, trace.tail_bound) == (1.0, 0.0)
+
+
 # --- Poisson summation oracle ---------------------------------------------------------
 
 
@@ -224,6 +236,25 @@ def test_geometric_trace_reports_cutoff_and_bound():
     res = geometric_heat_trace(TETRA, HeatTraceConfig(0.2, 1e-10))
     assert res.cutoff >= 1.0
     assert 0 < res.tail_bound < 1e-10
+
+
+# certified cutoffs (key bound K, half-integer radius S) on the CLI's default
+# t-grid 0.05, 0.1, 0.2, 0.5, 1; Tetra and Didi choose the same ones
+PINNED_CUTOFFS = {
+    1e-10: [(62, 2.5), (30, 3.5), (14, 5.5), (5, 8.0), (2, 11.0)],
+    1e-6: [(43, 2.5), (20, 3.0), (9, 4.5), (3, 6.5), (1, 9.0)],
+}
+
+
+@pytest.mark.parametrize("eps", sorted(PINNED_CUTOFFS))
+@pytest.mark.parametrize("space", [TETRA, DIDI], ids=["tetra", "didi"])
+def test_certified_cutoffs_are_pinned(space, eps):
+    got = []
+    for t in DEFAULT_T_GRID:
+        cfg = HeatTraceConfig(t, eps)
+        got.append((spectral_heat_trace(space, cfg).cutoff,
+                    geometric_heat_trace(space, cfg).cutoff))
+    assert got == PINNED_CUTOFFS[eps]
 
 
 def test_explicit_cutoffs_are_respected():
