@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+from math import log10
+
+
+def abridged(value) -> str:
+    """str(value), cut after 20 characters with "..." when it is longer,
+    so that a number of any size leaves an error message one short line."""
+    try:
+        text = str(value)
+    except ValueError:  # an int past Python's int-to-string digit limit
+        num, den = value.as_integer_ratio()
+        return f"about 10^{round((num.bit_length() - den.bit_length()) * log10(2))}"
+    return text if len(text) <= 20 else text[:20] + "..."
+
 
 class PlatycosmError(Exception):
     """Base class for all package-specific errors."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import InvalidPresentationError, UnknownPresetError
+from .errors import InvalidPresentationError, UnknownPresetError, abridged
 from .linalg import (
     IDENTITY,
     Mat3,
@@ -488,9 +488,8 @@ def _numeral(entry) -> Fraction:
         if sum(ch.isdigit() for ch in text) > limit or (
             exponent is not None and abs(int(exponent.group(1))) > limit
         ):
-            shown = text if len(text) <= 20 else text[:20] + "..."
             raise ValueError(
-                f"numeral {shown!r} has more than {limit} digits or an exponent beyond {limit}"
+                f"numeral {abridged(text)!r} has more than {limit} digits or an exponent beyond {limit}"
             )
     return Fraction(text)
 

@@ -42,7 +42,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import CutoffBudgetError, InvalidPresentationError, UnsupportedGeometryError
+from .errors import (
+    CutoffBudgetError, InvalidPresentationError, UnsupportedGeometryError, abridged,
+)
 from .euclid import (
     CACHE_SIZE, IntegerForm, IntMat, IntVec, Isometry, PlatycosmPresentation, _trusted,
 )
@@ -391,8 +393,8 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
                      for (lo, hi), fam in zip(bounds, table.fams))
     if candidates > CLASS_CANDIDATE_BUDGET:
         raise CutoffBudgetError(
-            f"class enumeration to length {fraction_to_str(max_length)} needs "
-            f"{candidates} candidates, over the budget of {CLASS_CANDIDATE_BUDGET}"
+            f"class enumeration to length {abridged(max_length)} needs "
+            f"{abridged(candidates)} candidates, over the budget of {CLASS_CANDIDATE_BUDGET}"
         )
 
     # Every image of a candidate is a candidate (conjugation and inversion
@@ -512,7 +514,8 @@ def balance_table(
     rows = math.floor(2 * max_length)
     if rows > CLASS_CANDIDATE_BUDGET:
         raise CutoffBudgetError(
-            f"balance table to length {fraction_to_str(max_length)} needs {rows} rows, "
+            f"balance table to length {abridged(max_length)} needs "
+            f"{abridged(rows)} rows, "
             f"over the budget of {CLASS_CANDIDATE_BUDGET}"
         )
     left = twisted_classes(P1, max_length)

@@ -18,15 +18,21 @@ package requires Q to be integral and every phase to be a fourth root of
 unity.  Phases are summed exactly in the Gaussian integers, and each
 multiplicity is asserted to be a nonnegative integer.
 
-Cost of a table up to key K:
+Cost of a table up to key K, summed in lists indexed by key 0..K:
 
-  identity term   shell sizes for every key at once: a sparse
-                  convolution of the 1-D square counts when Q is
-                  diagonal, else an enumeration of the ~(4pi/3)K^1.5/sqrt(det Q)
-                  points of the ball in Q coordinates;
+  identity term   shell sizes for every key at once.  When Q is
+                  diagonal they are the product of the three theta
+                  series sum_y x^(q y^2), each held in one int with a
+                  fixed-width slot per key: the densest series starts
+                  the product and each other one adds ~sqrt(K/q) shifted
+                  copies of it, O(K^1.5) machine words in all, then one
+                  unpacking.  Otherwise an enumeration of the
+                  ~(4pi/3)K^1.5/sqrt(det Q) points of the ball in Q
+                  coordinates;
   twisted terms   the points of the integer fixed sublattice ker(Bg^T - 1)
-                  in the ball: O(sqrt K) on the line of a screw, O(K) on
-                  the plane of a glide;
+                  in the ball: O(sqrt K) walked directly along the line
+                  of a screw, O(K) on the plane of a glide;
+  multiplicities  one ascending pass over the K + 1 sums;
   self-check      `multiplicity` at the keys 0, 1, K//2 and K: O(K) for
                   the four together.
 
@@ -44,10 +50,13 @@ lattice outside it.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import isqrt, prod
 from operator import ge
 from typing import NamedTuple, Optional
 
@@ -56,6 +65,7 @@ from .errors import (
     CutoffBudgetError,
     UnsupportedCircumferenceError,
     UnsupportedGeometryError,
+    abridged,
 )
 from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation
 from .linalg import (
@@ -79,15 +89,16 @@ __all__ = [
 ]
 
 # Largest norm key any spectrum (circles included), multiplicity or shell
-# enumerates, checked before the work starts.  spectrum_table(tetra, K) takes about 0.9 s at
-# K = 100,000 and grows like K^1.5 (Python 3.11, one core).
+# enumerates, checked before the work starts.  spectrum_table(tetra, K) takes
+# about 0.2 s at K = 100,000 and 1.3 s at K = 400,000 (Python 3.11, one core
+# of a 2-vCPU machine).
 SPECTRAL_KEY_BUDGET = 2_000_000
 
 
 def _check_budget(key: int, what: str) -> None:
     if key > SPECTRAL_KEY_BUDGET:
         raise CutoffBudgetError(
-            f"{what} to norm key {key} is over the budget of {SPECTRAL_KEY_BUDGET} keys"
+            f"{what} to norm key {abridged(key)} is over the budget of {SPECTRAL_KEY_BUDGET} keys"
         )
 
 
@@ -174,6 +185,8 @@ class SpectrumTable:
     def first_difference(self, other: "SpectrumTable"):
         """Smallest key (up to the shared max_key) where the tables differ,
         as (key, self_mult, other_mult); None if they agree."""
+        if self.entries == other.entries:
+            return None
         bound = min(self.max_key, other.max_key)
         d1, d2 = self.as_dict(), other.as_dict()
         for key in sorted(set(d1) | set(d2)):
@@ -395,47 +408,87 @@ def orbits_in_shell(Lstar: Lattice, key: int) -> tuple[OrbitSpec, ...]:
 # --- spectrum tables -----------------------------------------------------------
 
 
-def _shell_sizes(gram, max_key: int) -> dict[int, int]:
-    """|shell(key)| for every key <= max_key whose shell is not empty."""
+# array and memoryview formats of the unsigned slot widths, in bytes
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _shell_sizes(gram, max_key: int) -> list[int]:
+    """|shell(key)| for every key 0..max_key, as a list indexed by key."""
     if any(gram[i][j] for i in range(3) for j in range(3) if i != j):
-        sizes: dict[int, int] = {}
+        sizes = [0] * (max_key + 1)
         for _, key in form_points(gram, 0, max_key):
-            sizes[key] = sizes.get(key, 0) + 1
+            sizes[key] += 1
         return sizes
-    # diagonal: convolve the counts of q*y^2, the sparsest (largest q) first
-    sizes = {0: 1}
-    for q in (gram[0][0], gram[1][1], gram[2][2]):
-        squares = [q * y * y for y in range(1, isqrt(max_key // q) + 1)]
-        out = dict(sizes)
-        for n, count in sizes.items():
-            for sq in squares:
-                if n + sq > max_key:
-                    break
-                out[n + sq] = out.get(n + sq, 0) + 2 * count
-        sizes = out
+    # diagonal: the product of the theta series sum_y x^(q y^2), truncated
+    # at max_key, each held in one int whose slot k of `width` bytes is the
+    # coefficient of x^k.  No coefficient exceeds the number of points of
+    # the box |y_i| <= sqrt(K / q_i), so the width is taken from that count
+    # and no slot carries into the next (under the key budget it stays
+    # below 2^64).
+    qs = sorted((gram[0][0], gram[1][1], gram[2][2]))
+    box = prod(2 * isqrt(max_key // q) + 1 for q in qs)
+    width = 1
+    while box >> 8 * width:
+        width *= 2
+    bits, fmt = 8 * width, _SLOT_FORMATS[width]
+    # In the host's byte order an int's bytes run from slot 0 on a
+    # little-endian host and from the last slot on a big-endian one.
+    big = sys.byteorder == "big"
+    # Every shifted add costs O(max_key), so the densest series (least q)
+    # starts the product and the sparser ones, with fewer terms, are added
+    # on by shifts.
+    theta = array(fmt, bytes(width * (max_key + 1)))
+    theta[0] = 1
+    for y in range(1, isqrt(max_key // qs[0]) + 1):
+        theta[qs[0] * y * y] = 2
+    if big:
+        theta.reverse()
+    series = int.from_bytes(theta, sys.byteorder)
+    mask = (1 << bits * (max_key + 1)) - 1
+    for q in qs[1:]:
+        # times 1 + 2 sum_{y >= 1} x^(q y^2)
+        acc = series
+        for y in range(1, isqrt(max_key // q) + 1):
+            acc += series << bits * q * y * y + 1
+        series = acc & mask
+    raw = series.to_bytes(width * (max_key + 1), sys.byteorder)
+    sizes = memoryview(raw).cast(fmt).tolist()
+    if big:
+        sizes.reverse()
     return sizes
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
     data = _dual_action(P)
+    den = data.den
     re = _shell_sizes(data.gram, max_key)
-    im: dict[int, int] = {}
+    im = [0] * (max_key + 1)
     for act in data.actions[1:]:
+        if len(act.fixed_gram) == 1:
+            # a screw line: the points y and -y share the key q y^2 and have
+            # conjugate phases i^(+-p y / den), so they add 2 Re i^(p y / den)
+            q, p = act.fixed_gram[0][0], act.fixed_phase[0]
+            re[0] += 1
+            for y in range(1, isqrt(max_key // q) + 1):
+                re[q * y * y] += 2 * _RE[_quarter_turns(p * y, den)]
+            continue
         for y, key in form_points(act.fixed_gram, 0, max_key):
-            r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), data.den)
+            r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), den)
             re[key] += _RE[r]
-            im[key] = im.get(key, 0) + _IM[r]
+            im[key] += _IM[r]
+    # one ascending pass, so a failure names the least bad key
+    m = data.m
     entries = []
-    for key in sorted(re):
-        mult = _finalize(key, re[key], im.get(key, 0), data.m)
-        if mult:
-            entries.append((key, mult))
+    for key, r, i in zip(count(), re, im):
+        if r or i:
+            if i or r < 0 or r % m:
+                _finalize(key, r, i, m)  # raises
+            entries.append((key, r // m))
     table = SpectrumTable(max_key, tuple(entries))
     # spot-check the decomposition against independent per-key shell sums
-    mults = dict(entries)
     for key in sorted({0, 1, max_key // 2, max_key}):
-        if key <= max_key and multiplicity(P, key) != mults.get(key, 0):
+        if key <= max_key and multiplicity(P, key) != re[key] // m:
             raise CharacterSumError(
                 f"aggregate table disagrees with per-key multiplicity at {key}"
             )

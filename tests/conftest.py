@@ -112,6 +112,25 @@ def make_dicosm() -> PlatycosmPresentation:
     return PlatycosmPresentation("dicosm", lat, (Isometry(_IDENTITY, vec(0, 0, 0)), screw))
 
 
+def make_fcc_torus() -> PlatycosmPresentation:
+    """The torus of the face-centred cubic lattice.  Its dual lattice is
+    body-centred, with the non-diagonal form Q = [[12, -4, -4], [-4, 12, -4],
+    [-4, -4, 12]] on a reduced basis."""
+    h = Fraction(1, 2)
+    lat = Lattice(mat([[0, h, h], [h, 0, h], [h, h, 0]]))
+    return PlatycosmPresentation("fcc_torus", lat, (Isometry(_IDENTITY, vec(0, 0, 0)),))
+
+
+def make_skew_dicosm() -> PlatycosmPresentation:
+    """A half-turn screw about z on the sheared lattice with rows (1, 0, 0),
+    (1/2, 1, 0), (0, 0, 1): the form Q = [[5, -2, 0], [-2, 4, 0], [0, 0, 4]]
+    is not diagonal, and the screw fixes a line of dual vectors."""
+    h = Fraction(1, 2)
+    screw = Isometry(mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]), vec(0, 0, h))
+    lat = Lattice(mat([[1, 0, 0], [h, 1, 0], [0, 0, 1]]))
+    return PlatycosmPresentation("skew_dicosm", lat, (Isometry(_IDENTITY, vec(0, 0, 0)), screw))
+
+
 def make_amphicosm() -> PlatycosmPresentation:
     """Z^3 divided by the glide (x, y, z) -> (x + 1/2, y, -z), whose fixed
     dual vectors form a plane rather than a line."""

@@ -333,6 +333,22 @@ def test_geodesics_beyond_machine_size_exit_2(capsys):
     assert "over the budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("geodesics", "--space", "tetra", "--max-length", "1e400"),
+    ("balance", "--left", "tetra", "--right", "didi", "--max-length", "1e400"),
+    ("spectrum", "--space", "tetra", "--max-key", "9" * 1000),
+    # past the int-to-string digit limit
+    ("geodesics", "--space", "tetra", "--max-length", "1e5000"),
+    ("balance", "--left", "tetra", "--right", "didi", "--max-length", "1e5000"),
+], ids=lambda argv: f"{argv[0]}-{argv[-1][:6]}")
+def test_budget_refusal_abridges_huge_numerals(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the budget" in err
+    assert len(err) <= 200
+
+
 def _space_doc(change):
     doc = presentation_to_json(preset("tetra"))
     change(doc)

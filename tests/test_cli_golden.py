@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_fcc_torus, make_skew_dicosm
 from platycosms import cli
 from platycosms.cli import build_parser, main
 from platycosms.euclid import (
@@ -78,7 +79,8 @@ def _moved(P: PlatycosmPresentation) -> PlatycosmPresentation:
     return PlatycosmPresentation(P.name, lattice, reps)
 
 
-# {tetra} and {didi} stand for space files of the moved presets
+# {tetra} and {didi} stand for space files of the moved presets, and
+# {fcc_torus} and {skew_dicosm} for spaces whose dual form is not diagonal
 GOLDEN_FILES = [
     (("geodesics", "--space-file", "{tetra}", "--max-length", "9/2"), 0,
      "9f13ee3c5491da15c6214dccb29e836d24cd8a7f93143ea16f1ce5269ffb093b"),
@@ -86,6 +88,10 @@ GOLDEN_FILES = [
      "70143fcce6a498eee831838178242c54bab9c8fc170ec1e666bed8889ef1d565"),
     (("balance", "--left-file", "{tetra}", "--right-file", "{didi}", "--max-length", "9/2"), 0,
      "8214cfd3d6a7598add0737d5f65aed7409fa8d110480429ca6f5d6fc0750a5d3"),
+    (("spectrum", "--space-file", "{fcc_torus}", "--max-key", "300"), 0,
+     "4fedc7e1aef7b2eeb297e1947a05d8cb4ae3b63162c0b483bf52d5870e9da0ab"),
+    (("spectrum", "--space-file", "{skew_dicosm}", "--max-key", "300"), 0,
+     "41be9c66a2f632850e0905c144fc113ea7e4db46988038260af7eaa74f755db0"),
 ]
 
 
@@ -95,11 +101,17 @@ GOLDEN_FILES = [
          for argv, _, _ in GOLDEN_FILES],
 )
 def test_space_file_output_matches_golden_hash(tmp_path, capsys, argv, code, digest):
+    spaces = {
+        "tetra": _moved(preset("tetra")),
+        "didi": _moved(preset("didi")),
+        "fcc_torus": make_fcc_torus(),
+        "skew_dicosm": make_skew_dicosm(),
+    }
     paths = {}
-    for name in ("tetra", "didi"):
+    for name, space in spaces.items():
         # the file name is printed as the space label
         paths[name] = tmp_path / f"{name}_moved.json"
-        paths[name].write_text(json.dumps(presentation_to_json(_moved(preset(name)))))
+        paths[name].write_text(json.dumps(presentation_to_json(space)))
     got_code, out, err = run(capsys, [a.format(**paths) for a in argv])
     assert (got_code, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

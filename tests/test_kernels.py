@@ -1,4 +1,5 @@
-"""The unrolled 3x3 kernels mat_mul and mat_vec against naive definitions.
+"""The unrolled 3x3 kernels mat_mul and mat_vec against naive definitions,
+and the packed theta product of the shell sizes against the ball.
 
 The test oracles (class_oracle, presentation_oracle, conftest) call the same
 kernels as the package, so these definitions are written out here and not
@@ -11,9 +12,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from platycosms.linalg import mat_mul, mat_vec
+from platycosms.linalg import form_points, mat_mul, mat_vec
+from platycosms.spectrum import _shell_sizes
 
 
 def naive_mat_mul(a, b):
@@ -102,3 +104,22 @@ def test_other_shapes_are_refused(bad):
 def test_other_vector_lengths_are_refused(v):
     with pytest.raises(ValueError):
         mat_vec(CUBE, v)
+
+
+# The slot width follows the box count prod(2 isqrt(K/q) + 1): 39^3 < 2^16 <=
+# 41^3 at K = 399 and 400 for q = 1, and 5^3 < 2^8 <= 7^3 at K = 143 and 144
+# for q = 16.
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(1, 16), min_size=3, max_size=3), st.integers(0, 3000))
+@example([1, 1, 1], 399)
+@example([1, 1, 1], 400)
+@example([16, 16, 16], 143)
+@example([16, 16, 16], 144)
+@example([3, 1, 7], 0)
+@example([5, 7, 9], 4)  # below every q
+def test_packed_theta_product_matches_the_ball(qs, max_key):
+    gram = tuple(tuple(q if i == j else 0 for j in range(3)) for i, q in enumerate(qs))
+    counts = [0] * (max_key + 1)
+    for _, key in form_points(gram, 0, max_key):
+        counts[key] += 1
+    assert _shell_sizes(gram, max_key) == counts

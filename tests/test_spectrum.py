@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    make_amphicosm, make_dicosm, make_tricosm, rotate_x, same_lattice, swap_xz,
+    make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm, make_tricosm,
+    rotate_x, same_lattice, swap_xz,
 )
 import platycosms
 from platycosms import selberg
@@ -311,6 +312,21 @@ def test_spectrum_table_consistent_with_per_key(space):
         assert table.get(key, 0) == multiplicity(space, key)
 
 
+@pytest.mark.parametrize("space, gram, fixed", [
+    (make_fcc_torus(), ((12, -4, -4), (-4, 12, -4), (-4, -4, 12)), []),
+    (make_skew_dicosm(), ((5, -2, 0), (-2, 4, 0), (0, 0, 4)), [((4,),)]),
+], ids=lambda v: getattr(v, "name", ""))
+def test_non_diagonal_table_consistent_with_per_key(space, gram, fixed):
+    """Tables on a non-diagonal Q (the ball enumeration of the identity
+    term; a screw line for the dicosm) against per-key multiplicities."""
+    data = spectrum_module._dual_action(space)
+    assert data.gram == gram
+    assert [act.fixed_gram for act in data.actions[1:]] == fixed
+    table = spectrum_table(space, 300).as_dict()
+    for key in range(301):
+        assert table.get(key, 0) == multiplicity(space, key)
+
+
 def test_amphicosm_glide_plane():
     assert spectrum_table(make_amphicosm(), 20).entries == (
         (0, 1), (4, 3), (8, 4), (12, 4), (16, 5), (20, 12)
@@ -383,6 +399,31 @@ def test_table_names_the_least_bad_key(monkeypatch):
     fresh = PlatycosmPresentation("tetra-bad-sizes", TETRA.lattice, TETRA.holonomy_reps)
     with pytest.raises(CharacterSumError, match="at key 4 is "):
         spectrum_table(fresh, 40)
+
+
+def test_table_refuses_negative_and_imaginary_sums(monkeypatch):
+    """A negative multiple of m, or a sum with an imaginary part, is not a
+    multiplicity either."""
+    real = spectrum_module._shell_sizes
+
+    def negative(gram, max_key):
+        sizes = real(gram, max_key)
+        sizes[5] -= 16  # the sum at key 5 was 8 = 2 m
+        return sizes
+
+    monkeypatch.setattr(spectrum_module, "_shell_sizes", negative)
+    fresh = PlatycosmPresentation("tetra-negative", TETRA.lattice, TETRA.holonomy_reps)
+    with pytest.raises(CharacterSumError, match=r"at key 5 is \(-8 \+ 0i\)/4"):
+        spectrum_table(fresh, 40)
+    monkeypatch.undo()
+
+    # every phase of the glide plane gains an imaginary unit
+    monkeypatch.setattr(spectrum_module, "_IM", (1, 1, 1, 1))
+    amphicosm = make_amphicosm()
+    fresh = PlatycosmPresentation("amphicosm-imaginary", amphicosm.lattice,
+                                  amphicosm.holonomy_reps)
+    with pytest.raises(CharacterSumError, match=r"at key 0 is \(2 \+ 1i\)/2"):
+        spectrum_table(fresh, 20)
 
 
 def test_equal_presentations_share_cache_entries():
