@@ -18,8 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import PlatycosmError
-from .euclid import PRESET_NAMES, load_space_file, preset
+from .errors import PlatycosmError, abridged
+from .euclid import PRESET_NAMES, _numeral, load_space_file, preset
 from .geodesics import balance_table, balance_to_csv, classes_to_csv, twisted_classes, weight
 from .linalg import fraction_to_str
 from .selberg import exercise_identity_sides, heat_trace_csv, heat_trace_rows
@@ -63,18 +63,32 @@ def _t_values(args) -> list[float]:
         try:
             values = [float(x) for x in args.t_grid.split(",") if x.strip()]
         except ValueError as exc:
-            raise PlatycosmError(f"bad --t-grid: {args.t_grid!r}") from exc
+            raise PlatycosmError(f"bad --t-grid: {abridged(args.t_grid)!r}") from exc
         if not values:
             raise PlatycosmError("--t-grid is empty")
         return values
     return list(DEFAULT_T_GRID)
 
 
+def _abridging(parse):
+    """`parse` as an argparse type whose usage error is argparse's own
+    "invalid <name> value" with the value abridged, so that a huge
+    argument leaves one short line."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {abridged(text)!r}"
+            ) from exc
+    return convert
+
+
 def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError("zero denominator") from exc
+    """A positive rational, read by the space files' numeral reader.  A
+    numeral past its digit limit is refused before any large integer is
+    built, as a budget refusal that `main` reports like any other."""
+    value = _numeral(text)
     if value <= 0:
         raise ValueError("must be positive")
     return value
@@ -267,42 +281,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact Laplace spectrum table")
     add_single_space(p)
-    p.add_argument("--circle", type=_positive_fraction, metavar="C",
+    p.add_argument("--circle", type=_abridging(_positive_fraction), metavar="C",
                    help="spectrum of the circle of circumference C instead")
-    p.add_argument("--max-key", type=int, required=True)
+    p.add_argument("--max-key", type=_abridging(int), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("geodesics", help="twisted closed geodesic classes")
     add_single_space(p)
-    p.add_argument("--max-length", type=_positive_fraction, required=True)
+    p.add_argument("--max-length", type=_abridging(_positive_fraction), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_geodesics)
 
     p = sub.add_parser("balance", help="side-by-side spectral weights per length")
     add_pair(p)
-    p.add_argument("--max-length", type=_positive_fraction, required=True)
+    p.add_argument("--max-length", type=_abridging(_positive_fraction), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("heat-trace", help="spectral vs geometric heat trace")
     add_single_space(p)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_abridging(float))
     p.add_argument("--t-grid", help="comma-separated times")
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=_abridging(float), default=1e-10)
     add_format(p)
     p.set_defaults(func=_cmd_heat_trace)
 
     p = sub.add_parser("verify", help="exact isospectrality check")
     add_pair(p)
-    p.add_argument("--max-key", type=int, required=True)
+    p.add_argument("--max-key", type=_abridging(int), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("exercise", help="four-trace circle identity residuals")
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_abridging(float))
     p.add_argument("--t-grid", help="comma-separated times")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=_abridging(float), default=1e-12)
     add_format(p)
     p.set_defaults(func=_cmd_exercise)
 
@@ -317,8 +331,9 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        # inside the try: an over-long numeral is refused while parsing
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (PlatycosmError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

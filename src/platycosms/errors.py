@@ -42,5 +42,6 @@ class CharacterSumError(PlatycosmError, ArithmeticError):
 
 
 class CutoffBudgetError(PlatycosmError, RuntimeError):
-    """A certified truncation cutoff exceeds the enumeration budget;
-    retry with larger t or looser eps."""
+    """A request exceeds a work budget: a certified truncation cutoff (retry
+    with larger t or looser eps), an enumeration, or a numeral too long to
+    read exactly."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import InvalidPresentationError, UnknownPresetError, abridged
+from .errors import CutoffBudgetError, InvalidPresentationError, UnknownPresetError, abridged
 from .linalg import (
     IDENTITY,
     Mat3,
@@ -477,9 +477,10 @@ _EXPONENT = re.compile(r"[eE]\s*([-+]?\d[\d_]*)")
 
 
 def _numeral(entry) -> Fraction:
-    """A space-file entry as a Fraction.  A numeral with more digits, or a
-    larger decimal exponent, than Python's int-from-string limit is
-    refused before any large integer is built."""
+    """A space-file entry or a CLI length as a Fraction.  A numeral with
+    more digits, or a larger decimal exponent, than Python's
+    int-from-string limit is refused as over the budget before any large
+    integer is built."""
     text = str(entry)
     # 0: no limit, as on Pythons older than the limit itself
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -488,8 +489,9 @@ def _numeral(entry) -> Fraction:
         if sum(ch.isdigit() for ch in text) > limit or (
             exponent is not None and abs(int(exponent.group(1))) > limit
         ):
-            raise ValueError(
-                f"numeral {abridged(text)!r} has more than {limit} digits or an exponent beyond {limit}"
+            raise CutoffBudgetError(
+                f"numeral {abridged(text)!r} has more than {limit} digits or an exponent "
+                f"beyond {limit}, over the budget of an exact numeral"
             )
     return Fraction(text)
 
@@ -516,7 +518,8 @@ def presentation_from_json(doc: dict) -> PlatycosmPresentation:
             (_mat3(_numerals(r["rot"], 2), "rotational part"), _vec3(_numerals(r["trans"], 1)))
             for r in doc["reps"]
         ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError,
+            CutoffBudgetError) as exc:
         raise InvalidPresentationError(f"malformed space document: {exc}") from exc
     reps = tuple(Isometry(rot, trans) for rot, trans in parts)
     return PlatycosmPresentation(str(name), Lattice(basis), reps)

@@ -54,8 +54,8 @@ from .linalg import (
     det3,
     dot,
     fraction_to_str,
+    hermite,
     hnf_rows,
-    integer_kernel,
     mat_mul,
     mat_vec,
     solve_integer,
@@ -124,16 +124,6 @@ class GeodesicClass:
         return (self.length, self.twist_over_pi, self.imprimitivity)
 
 
-# --- small integer helpers ----------------------------------------------------
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
 # --- twist families and the class-action table ------------------------------
 
 
@@ -188,18 +178,12 @@ def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
     h = math.gcd(form.scale, *raw)
     ints = tuple(c // h for c in raw)
     unit = Fraction(h, form.den * form.scale * axis_len)
-    g12, x1, x2 = _ext_gcd(ints[0], ints[1])
-    gcd_all, y12, y3 = _ext_gcd(g12, ints[2])
-    step_coords = (x1 * y12, x2 * y12, y3)
-    w1, w2 = integer_kernel([ints])
-    # step_coords maps to gcd_all under the form and w1, w2 span its kernel,
-    # so the three columns are a basis of Z^3
-    basis = tuple(zip(step_coords, w1, w2))
+    # the unimodular U with U . ints^T = (gcd, 0, 0)^T: its first row is a
+    # step vector that the form maps to the gcd, the other two span the
+    # form's kernel, and as columns the three are a basis of Z^3
+    ((gcd_all,), _, _), U, _ = hermite([ints])
+    basis = tuple(zip(*U))
     det = det3(basis)
-    if det not in (1, -1):
-        raise InvalidPresentationError(
-            "family basis inverse is not integral in lattice coordinates"
-        )
     basis_inv = tuple(tuple(det * c for c in row) for row in adj3(basis))
 
     # (I - B)Lambda: columns of basis_inv . (I - A), all with n = 0
@@ -335,7 +319,7 @@ def _imprimitivity(table: _ClassTable, w: int, X, axis_value: int, k_max: int) -
     scaled lattice coordinates X and scaled axis value `axis_value`: the
     largest k <= k_max for which some root r with A_r^k = A_w makes the
     power equation S mu = X - S c_r, S = I + A_r + ... + A_r^(k-1),
-    solvable in integers (Smith reduction).  A root's axis value times k
+    solvable in integers (`solve_integer`).  A root's axis value times k
     is the witness's, and roots of one axis share its step, so k divides
     the scaled axis value and a congruence sorts out the roots."""
     g = table.fams[w].screw[1]
@@ -359,7 +343,7 @@ def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
     Candidate roots have rotational part a k-th root of the witness's
     within the holonomy group; their translation solves the affine power
     equation (I + B + ... + B^(k-1)) mu = trans - (...) rep_trans over the
-    lattice, decided exactly by Smith reduction.
+    lattice, decided exactly by an integer solve on the Hermite form.
     """
     if witness.rot == IDENTITY:
         raise ValueError("imprimitivity is defined for twisted elements only")

@@ -162,140 +162,84 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     m = [list(r) for r in rows if any(r)]
     if not m:
         return []
-    ncols = len(m[0])
+    n = len(m)
     row = 0
-    for col in range(ncols):
-        # clear the column below `row` by gcd steps
+    for col in range(len(m[0])):
+        # clear the column below `row` by gcd steps: the least nonzero
+        # entry, made positive, is the pivot and reduces the others
         while True:
-            nz = [i for i in range(row, len(m)) if m[i][col] != 0]
-            if not nz:
+            piv, least = None, 0
+            for i in range(row, n):
+                c = m[i][col]
+                if c and (piv is None or abs(c) < least):
+                    piv, least = i, abs(c)
+            if piv is None:
                 break
-            piv = min(nz, key=lambda i: abs(m[i][col]))
-            m[row], m[piv] = m[piv], m[row]
-            if m[row][col] < 0:
-                m[row] = [-a for a in m[row]]
+            p = m[piv] if m[piv][col] > 0 else [-a for a in m[piv]]
+            m[piv] = m[row]
+            m[row] = p
             done = True
-            for i in range(row + 1, len(m)):
-                if m[i][col] != 0:
-                    q = m[i][col] // m[row][col]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-                    if m[i][col] != 0:
+            for i in range(row + 1, n):
+                c = m[i][col]
+                if c:
+                    q = c // least
+                    r = m[i] = [a - q * b for a, b in zip(m[i], p)]
+                    if r[col]:
                         done = False
             if done:
                 break
-        if row < len(m) and m[row][col] != 0:
+        if piv is not None:
             for i in range(row):
-                q = m[i][col] // m[row][col]
+                q = m[i][col] // least
                 if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[row])]
+                    m[i] = [a - q * b for a, b in zip(m[i], p)]
             row += 1
-            if row == len(m):
+            if row == n:
                 break
-    return [r for r in m if any(r)]
+    # rows past the last pivot are zero
+    return m[:row]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Diagonalize over Z: returns (d, u, v) with u·a·v = d, u and v unimodular.
+def hermite(a: Sequence[Sequence[int]]):
+    """(H, U, r) for an integer m x n matrix a: the row Hermite form
+    H = U·a^T of the columns of a, the unimodular n x n transform U and the
+    rank r.  Rows r.. of H are zero, so rows r.. of U span the integer
+    kernel of a.
 
-    d is diagonal (as a full matrix). The divisibility chain of the true
-    Smith form is not enforced; a diagonal form is all the solvers below
-    need. Works for any small m x n integer matrix.
+    It is `hnf_rows` of the augmented rows [a^T | I], which has full rank:
+    the reduction keeps all n rows, and their right-hand parts are U.
     """
-    m = [list(r) for r in a]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for r in m:
-            r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a pivot
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0:
-                    if piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            reduced = True
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    add_row(t, i, m[i][t] // m[t][t])
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    add_col(t, j, m[t][j] // m[t][t])
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        reduced = False
-            if reduced:
-                break
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return m, u, v
+    m = len(a)
+    n = len(a[0])
+    rows = hnf_rows([[a[i][j] for i in range(m)] + [int(j == k) for k in range(n)]
+                     for j in range(n)])
+    H = [row[:m] for row in rows]
+    return H, [row[m:] for row in rows], sum(1 for row in H if any(row))
 
 
 def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]):
-    """One integer solution x of a·x = b, or None if none exists."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    d, u, v = smith_normal_form(a)
-    ub = [sum(u[i][j] * b[j] for j in range(nr)) for i in range(nr)]
-    y = [0] * nc
-    for i in range(min(nr, nc)):
-        di = d[i][i]
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    for i in range(min(nr, nc), nr):
-        if ub[i] != 0:
-            return None
-    return [sum(v[i][j] * y[j] for j in range(nc)) for i in range(nc)]
+    """One integer solution x of a·x = b, or None if none exists.
+
+    With U·a^T = H, the system is H^T y = b for x = U^T y.  H is in echelon
+    form, so y is read along its pivots by division; later rows are zero
+    at a pivot, so a pivot that does not divide leaves a residue there,
+    and any residue after the last pivot means no solution.
+    """
+    H, U, r = hermite(a)
+    rest = list(b)
+    x = [0] * len(U)
+    for h, u in zip(H[:r], U):
+        p = next(j for j, c in enumerate(h) if c)
+        y = rest[p] // h[p]
+        rest = [c - y * d for c, d in zip(rest, h)]
+        x = [c + y * d for c, d in zip(x, u)]
+    return None if any(rest) else x
 
 
 def integer_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {x in Z^n : a·x = 0}."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    d, _u, v = smith_normal_form(a)
-    basis = []
-    for j in range(nc):
-        dj = d[j][j] if j < min(nr, nc) else 0
-        if dj == 0:
-            basis.append([v[i][j] for i in range(nc)])
-    return basis
+    """Basis of {x in Z^n : a·x = 0}: the rows of U past the rank."""
+    _H, U, r = hermite(a)
+    return U[r:]
 
 
 def solve_rational_in_lattice(
@@ -303,7 +247,7 @@ def solve_rational_in_lattice(
 ):
     """Integer solution x of the rational system a·x = b, or None.
 
-    Clears denominators and delegates to the Smith-normal-form solver.
+    Clears denominators and delegates to the integer solver `solve_integer`.
     """
     den = 1
     for row in a:

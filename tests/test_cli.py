@@ -349,6 +349,49 @@ def test_budget_refusal_abridges_huge_numerals(capsys, argv):
     assert len(err) <= 200
 
 
+@pytest.mark.parametrize("argv", [
+    ("geodesics", "--space", "tetra", "--max-length", "1e5000"),
+    ("geodesics", "--space", "tetra", "--max-length", "1e30000000"),
+    ("balance", "--left", "tetra", "--right", "didi", "--max-length", "1e30000000"),
+    ("spectrum", "--circle", "1e-30000000", "--max-key", "4"),
+], ids=["geodesics-1e5000", "geodesics-1e30000000", "balance-1e30000000",
+        "circle-1e-30000000"])
+def test_cli_lengths_pass_the_numeral_limit(capsys, argv):
+    """Lengths are read like space-file numerals: one past the digit
+    limit is refused before a large integer is built, so the refusal
+    takes no longer for a larger exponent."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: numeral ") and err.count("\n") == 1
+    assert "digits or an exponent beyond" in err
+
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--space", "tetra", "--max-key", _NINES),
+    ("spectrum", "--space", "tetra", "--max-key", "x" + _NINES),
+    ("spectrum", "--circle", _NINES, "--max-key", "4"),
+    ("spectrum", "--circle", "-" + _NINES[:4000], "--max-key", "4"),
+    ("geodesics", "--space", "tetra", "--max-length", "x" + _NINES[:4000]),
+    ("heat-trace", "--space", "tetra", "--t-grid", "x" + _NINES),
+    ("heat-trace", "--space", "tetra", "--t", "x" + _NINES),
+    ("exercise", "--eps", "x" + _NINES),
+], ids=["max-key", "max-key-junk", "circle", "circle-negative", "max-length-junk",
+        "t-grid", "t", "eps"])
+def test_usage_errors_abridge_the_argument(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err and len(captured.err.encode()) < 500
+
+
 def _space_doc(change):
     doc = presentation_to_json(preset("tetra"))
     change(doc)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: diagonalization, lattice solvers, helpers."""
+"""Exact linear algebra: the Hermite reduction, lattice solvers, helpers."""
 
 import itertools
 import math
@@ -23,7 +23,6 @@ from platycosms.linalg import (
     mat_mul,
     nullspace,
     reduced_gram,
-    smith_normal_form,
     solve_integer,
     solve_rational_in_lattice,
     vec,
@@ -71,28 +70,6 @@ def test_rank_of_rational_rows():
     assert rank([[half, third, 1], [1, third, 2]]) == 2
     assert rank([[0, 0, 0], [0, 0, third]]) == 1
     assert rank([]) == 0
-
-
-def test_smith_normal_form_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        nr = rng.choice((1, 2, 3))
-        nc = rng.choice((2, 3))
-        a = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        d, u, v = smith_normal_form(a)
-        # u a v == d
-        ua = [_mat_apply(u, col) for col in zip(*a)]  # columns of u*a
-        uav = [
-            [sum(ua[j][i] * v[j][k] for j in range(nc)) for k in range(nc)]
-            for i in range(nr)
-        ]
-        assert uav == d
-        for i in range(nr):
-            for j in range(nc):
-                if i != j:
-                    assert d[i][j] == 0
-        assert abs(_det_int(u)) == 1
-        assert abs(_det_int(v)) == 1
 
 
 def test_solve_integer_roundtrip():
