@@ -345,10 +345,14 @@ class PlatycosmPresentation:
         object.__setattr__(self, "form", _lower(self.lattice, self.holonomy_reps))
 
     def __hash__(self) -> int:
-        # every memo cache keys on presentations: hash the lattice and the
-        # reps' Fractions once, on first use
+        # every memo cache keys on presentations: hash the name and the
+        # integer form once, on first use.  Equal presentations have equal
+        # forms, so they hash alike.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.name, self.lattice, self.holonomy_reps)))
+            f = self.form
+            object.__setattr__(
+                self, "_hash", hash((self.name, f.scale, f.basis, f.den, f.rots, f.trans))
+            )
         return self._hash
 
     def rep_by_rotation(self, rot: Mat3) -> Isometry:

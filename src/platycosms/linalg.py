@@ -11,8 +11,9 @@ Everything here is exact; no floating point enters any routine.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, compress, permutations
 from math import gcd, isqrt, lcm
+from operator import eq, mul
 from typing import Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -271,9 +272,9 @@ def form_points(H, lo: int, hi: int):
     H is a positive definite integer matrix of size 0 to 3.  The first
     coordinate runs over |y_0| <= sqrt(hi * (H^-1)_00), the bound of the
     ellipsoid; of three, the second runs over the cross-section at y_0.
-    The last one is solved from the quadratic, so a single shell
-    (lo = hi) costs one integer square root per head and keeps only the
-    heads whose discriminant is a perfect square.
+    The last one runs over the one or two intervals the shell
+    lo <= y^T H y <= hi leaves of its line, found with two integer square
+    roots per head.  `half_shell` walks a single shell of a 3x3 form.
     """
     n = len(H)
     if n == 0:
@@ -307,21 +308,6 @@ def form_points(H, lo: int, hi: int):
             for a in range(-bound, bound + 1)
             for b in row(a)
         )
-    if lo == hi:
-        # y_last is a root of (q*y + lin)^2 = lin^2 + q*(hi - const): the
-        # discriminant must be a perfect square s^2 and q must divide -lin +- s
-        for head, lin, const in heads:
-            disc = lin * lin + q * (hi - const)
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            for u in (-s, s) if s else (0,):
-                y, rest = divmod(u - lin, q)
-                if not rest:
-                    yield head + (y,), hi
-        return
     for head, lin, const in heads:
         # q * (y^T H y) = (q*y_last + lin)^2 + q*const - lin^2
         outer = lin * lin + q * (hi - const)
@@ -333,6 +319,53 @@ def form_points(H, lo: int, hi: int):
         for u_lo, u_hi in ((-s, s),) if r == 0 else ((-s, -r), (r, s)):
             for y in range(-((lin - u_lo) // q), (u_hi - lin) // q + 1):
                 yield head + (y,), const + y * (q * y + 2 * lin)
+
+
+def half_shell(H, key: int) -> list[tuple[int, int, int]]:
+    """One point of each pair +-y of nonzero integer vectors with
+    y^T H y = key, for a positive definite integer 3x3 matrix H: the
+    points with y_0 > 0, y_0 = 0 < y_1, or y_0 = y_1 = 0 < y_2.
+
+    The heads (a, b) = (y_0, y_1) run over the half a >= 0 of the
+    ellipse that bounds them, row by row as in `form_points`, and the
+    head (0, 0) keeps only its positive root.  With lin = H_20 a + H_21 b
+    and q = H_22, y_2 is a root of (q y_2 + lin)^2 = disc, where disc is
+    q (key - H_00 a^2 - 2 H_01 a b - H_11 b^2) + lin^2.  Along a row disc
+    is a quadratic in b, so a row's values are running sums of an
+    arithmetic sequence; each head then costs one integer square root,
+    all in builtins, and yields points only when disc is a perfect square
+    s^2 and q divides -lin +- s.
+    """
+    points = []
+    if not key:
+        return points
+    (h00, h01, h02), (_, h11, h12), (_, _, q) = H
+    root = isqrt
+    det = det3(H)
+    # disc = e0 + e1 b - C b^2 on row a, and within the row bound
+    # (C b + B a)^2 <= q (C key - det a^2) it is nonnegative, since
+    # C disc = q (C key - det a^2) - (C b + B a)^2
+    B, C = q * h01 - h02 * h12, q * h11 - h12 * h12
+    for a in range(root(key * C // det) + 1):
+        t = root(q * (C * key - det * a * a))
+        lo = -((t + B * a) // C) if a else 0
+        n = (t - B * a) // C + 1 - lo
+        if n < 1:
+            continue
+        lin_a = h02 * a
+        e0 = lin_a * lin_a + q * (key - h00 * a * a)
+        e1 = 2 * (lin_a * h12 - q * h01 * a)
+        step = e1 - C * (2 * lo + 1)
+        discs = list(accumulate(range(step, step - 2 * C * (n - 1), -2 * C),
+                                initial=e0 + (e1 - C * lo) * lo))
+        roots = list(map(root, discs))
+        for b in compress(range(lo, lo + n), map(eq, map(mul, roots, roots), discs)):
+            s, lin = roots[b - lo], lin_a + h12 * b
+            if not (s - lin) % q:
+                points.append((a, b, (s - lin) // q))
+            if s and (a or b) and not (s + lin) % q:
+                points.append((a, b, -(s + lin) // q))
+    return points
 
 
 def _round_div(n: int, d: int) -> int:

@@ -32,16 +32,23 @@ Cost of a table up to key K, summed in lists indexed by key 0..K:
   twisted terms   the points of the integer fixed sublattice ker(Bg^T - 1)
                   in the ball: O(sqrt K) walked directly along the line
                   of a screw, O(K) on the plane of a glide;
-  multiplicities  one ascending pass over the K + 1 sums;
+  multiplicities  a few passes of builtins over the K + 1 sums: no
+                  imaginary or negative sum, and the sums total m times
+                  their quotients by m; a key-ordered loop runs only when
+                  a check fails, to name the least bad key;
   self-check      `multiplicity` at the keys 0, 1, K//2 and K: O(K) for
-                  the four together.
+                  the four together, under half the rest of the table
+                  at K = 400-799.
 
 `multiplicity` evaluates one key independently of the table's fixed-line
-data.  It walks the O(K) (a, b) heads of the ellipsoid's cross-sections
-and keeps a head only when the discriminant of the quadratic in the last
-coordinate is a perfect square, which yields that shell's points with one
-integer square root per head.  To each point it applies every rep's full
-matrix and phase, testing M x = x in plain integer arithmetic.
+data.  `linalg.half_shell` walks one point of each pair +-x of the shell:
+the O(K) (a, b) heads of half the ellipsoid's cross-sections, keeping a
+head only when the discriminant of the quadratic in the last coordinate
+is a perfect square, with one integer square root per head.  To each
+point it applies every rep's full matrix and phase, testing M x = x in
+plain integer arithmetic.  x and -x are fixed by the same reps and have
+conjugate phases, so the shell's sum is twice the real part of the half
+sum, plus the origin's at key 0.
 
 `shell`, `orbit_dims` and the `DualVector`/`OrbitSpec` labels describe
 frequencies on the (a, b, c) grid Z x Z x (1/2)Z and refuse a dual
@@ -55,9 +62,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import chain, compress, count, repeat
 from math import isqrt, prod
-from operator import ge
+from operator import floordiv, ge
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -69,7 +76,7 @@ from .errors import (
 )
 from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation
 from .linalg import (
-    Vec3, adj3, det3, dot, form_points, inv3, mat_mul, mat_vec,
+    Vec3, adj3, det3, dot, form_points, half_shell, inv3, mat_mul, mat_vec,
     reduced_gram, size_reduce, transpose, vec,
 )
 
@@ -160,16 +167,25 @@ class SpectrumTable:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        entries = tuple((int(k), int(m)) for k, m in self.entries)
+        entries = tuple(self.entries)
+        flat = list(chain.from_iterable(entries))
+        # pairs of ints, rebuilt only when some entry is not one already
+        if not (
+            {*map(type, entries)} <= {tuple}
+            and {*map(len, entries)} <= {2}
+            and {*map(type, flat)} <= {int}
+        ):
+            entries = tuple((int(k), int(m)) for k, m in entries)
+            flat = list(chain.from_iterable(entries))
         object.__setattr__(self, "entries", entries)
+        keys, mults = flat[::2], flat[1::2]
         # strictly increasing keys are sorted and distinct, and lie between
         # the first key and the last
-        keys = [k for k, _ in entries]
         if any(map(ge, keys, keys[1:])):
             raise ValueError("entries must be sorted by key without repeats")
         if keys and (keys[0] < 0 or keys[-1] > self.max_key):
             raise ValueError("entry key out of range")
-        if any(m <= 0 for _, m in entries):
+        if mults and min(mults) <= 0:
             raise ValueError("stored multiplicities must be positive")
         if entries and entries[0] != (0, 1):
             raise ValueError("key 0 must carry the single constant eigenfunction")
@@ -256,8 +272,10 @@ def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
     _check_budget(key, "shell")
     _require_grid(Lstar)
     basis, gram = _gram_coordinates(Lstar)
+    points = half_shell(gram, key)
+    points += [(-x0, -x1, -x2) for x0, x1, x2 in points] if key else [(0, 0, 0)]
     out = []
-    for x, _ in form_points(gram, key, key):
+    for x in points:
         v = [sum(xi * d[k] for xi, d in zip(x, basis)) for k in range(3)]
         out.append(DualVector(int(v[0]), int(v[1]), int(2 * v[2])))
     return tuple(sorted(out))
@@ -350,11 +368,13 @@ _IM = (0, 1, 0, -1)
 def _character_sum(data: _DualData, points) -> tuple[int, int]:
     """sum over points x and reps g with Mg x = x of the phase, as (re, im)."""
     den = data.den
-    # each rep's full matrix and phase, as 12 flat ints
-    reps = [(*act.M[0], *act.M[1], *act.M[2], *act.phase) for act in data.actions]
+    points = list(points)
     re = im = 0
-    for x0, x1, x2 in points:
-        for m00, m01, m02, m10, m11, m12, m20, m21, m22, p0, p1, p2 in reps:
+    for act in data.actions:
+        # the rep's full matrix and phase as plain ints, applied to every point
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = act.M
+        p0, p1, p2 = act.phase
+        for x0, x1, x2 in points:
             if (
                 m00 * x0 + m01 * x1 + m02 * x2 == x0
                 and m10 * x0 + m11 * x1 + m12 * x2 == x1
@@ -381,8 +401,14 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
         raise ValueError("norm keys are nonnegative")
     _check_budget(key, "multiplicity")
     data = _dual_action(P)
-    re, im = _character_sum(data, (x for x, _ in form_points(data.gram, key, key)))
-    return _finalize(key, re, im, data.m)
+    # x and -x are fixed by the same reps with conjugate phases, so the
+    # shell's sum is twice the real part of the sum over one of each pair,
+    # plus the origin's at key 0
+    re, _ = _character_sum(data, half_shell(data.gram, key))
+    re *= 2
+    if not key:
+        re += _character_sum(data, ((0, 0, 0),))[0]
+    return _finalize(key, re, 0, data.m)
 
 
 def orbit_dims(P: PlatycosmPresentation, orbit: OrbitSpec) -> int:
@@ -420,15 +446,23 @@ def _shell_sizes(gram, max_key: int) -> list[int]:
             sizes[key] += 1
         return sizes
     # diagonal: the product of the theta series sum_y x^(q y^2), truncated
-    # at max_key, each held in one int whose slot k of `width` bytes is the
-    # coefficient of x^k.  No coefficient exceeds the number of points of
-    # the box |y_i| <= sqrt(K / q_i), so the width is taken from that count
-    # and no slot carries into the next (under the key budget it stays
-    # below 2^64).
+    # at max_key = K, each held in one int whose slot k of `width` bytes is
+    # the coefficient of x^k.  The width holds every value a slot k <= K
+    # takes, so no slot carries into the next:
+    # * with q_1 <= q_2 <= q_3, the coefficient of x^k in the product counts
+    #   the y with q_1 y_1^2 + q_2 y_2^2 + q_3 y_3^2 = k.  Fixing y_2 and
+    #   y_3, |y_i| <= sqrt(K / q_i), leaves at most two values of y_1, so
+    #   it is at most bound = 2 (2 isqrt(K/q_2) + 1)(2 isqrt(K/q_3) + 1);
+    # * every partial product, and every partial sum of the shifted adds
+    #   below, counts a subset of those y at slot k: a sub-sum of the
+    #   nonnegative terms of the final coefficient;
+    # * a carry out of a slot above K moves only up, into the part the mask
+    #   drops.
+    # Under the key budget the bound stays below 2^32.
     qs = sorted((gram[0][0], gram[1][1], gram[2][2]))
-    box = prod(2 * isqrt(max_key // q) + 1 for q in qs)
+    bound = 2 * prod(2 * isqrt(max_key // q) + 1 for q in qs[1:])
     width = 1
-    while box >> 8 * width:
+    while bound >> 8 * width:
         width *= 2
     bits, fmt = 8 * width, _SLOT_FORMATS[width]
     # In the host's byte order an int's bytes run from slot 0 on a
@@ -477,15 +511,17 @@ def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
             r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), den)
             re[key] += _RE[r]
             im[key] += _IM[r]
-    # one ascending pass, so a failure names the least bad key
     m = data.m
-    entries = []
-    for key, r, i in zip(count(), re, im):
-        if r or i:
+    sums = list(compress(re, re))
+    mults = list(map(floordiv, sums, repeat(m)))
+    # with no imaginary or negative sum, each sum r is at least m (r // m),
+    # so the totals agree exactly when every sum is a multiple of m
+    if any(im) or min(re) < 0 or sum(sums) != m * sum(mults):
+        # in key order, so the error names the least bad key
+        for key, r, i in zip(count(), re, im):
             if i or r < 0 or r % m:
                 _finalize(key, r, i, m)  # raises
-            entries.append((key, r // m))
-    table = SpectrumTable(max_key, tuple(entries))
+    table = SpectrumTable(max_key, tuple(zip(compress(count(), re), mults)))
     # spot-check the decomposition against independent per-key shell sums
     for key in sorted({0, 1, max_key // 2, max_key}):
         if key <= max_key and multiplicity(P, key) != re[key] // m:

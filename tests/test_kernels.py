@@ -7,9 +7,10 @@ kernels as the package, so these definitions are written out here and not
 imported from linalg.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -227,9 +228,9 @@ def test_solve_integer_refuses_a_right_side_off_the_lattice(system, data):
     assert solve_integer(a, [d[i] * c for c in b]) is not None
 
 
-# The slot width follows the box count prod(2 isqrt(K/q) + 1): 39^3 < 2^16 <=
-# 41^3 at K = 399 and 400 for q = 1, and 5^3 < 2^8 <= 7^3 at K = 143 and 144
-# for q = 16.
+# Examples where the old box-count width prod(2 isqrt(K/q) + 1) changed:
+# 39^3 < 2^16 <= 41^3 at K = 399 and 400 for q = 1, and 5^3 < 2^8 <= 7^3 at
+# K = 143 and 144 for q = 16.
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.lists(st.integers(1, 16), min_size=3, max_size=3), st.integers(0, 3000))
 @example([1, 1, 1], 399)
@@ -243,4 +244,36 @@ def test_packed_theta_product_matches_the_ball(qs, max_key):
     counts = [0] * (max_key + 1)
     for _, key in form_points(gram, 0, max_key):
         counts[key] += 1
+    assert _shell_sizes(gram, max_key) == counts
+
+
+def _theta_product(qs, max_key):
+    """Coefficients of prod_q sum_y x^(q y^2) up to x^max_key, by sparse
+    convolution of the series."""
+    counts = Counter({0: 1})
+    for q in qs:
+        reach = isqrt(max_key // q)
+        squares = [q * y * y for y in range(-reach, reach + 1)]
+        step = Counter()
+        for key, c in counts.items():
+            for s in squares:
+                if key + s <= max_key:
+                    step[key + s] += c
+        counts = step
+    return [counts[key] for key in range(max_key + 1)]
+
+
+# The slot width is the least that holds 2 (2 isqrt(K/q_2) + 1)(2 isqrt(K/q_3)
+# + 1) for the two largest q.  Below, each pair of keys crosses a width:
+# 2 * 11^2 = 242 < 2^8 <= 2 * 13^2 = 338, and
+# 2 * 181^2 = 65,522 < 2^16 <= 2 * 183^2 = 66,978.
+@pytest.mark.parametrize("qs, max_key", [
+    ((4, 4, 1), 143), ((4, 4, 1), 144), ((4, 4, 1), 33123), ((4, 4, 1), 33124),
+    ((1, 1, 1), 35), ((1, 1, 1), 36), ((1, 1, 1), 8280), ((1, 1, 1), 8281),
+])
+def test_packed_theta_product_at_each_slot_width(qs, max_key):
+    gram = tuple(tuple(q if i == j else 0 for j in range(3)) for i, q in enumerate(qs))
+    counts = _theta_product(qs, max_key)
+    big, bigger = sorted(qs)[1:]
+    assert max(counts) <= 2 * (2 * isqrt(max_key // big) + 1) * (2 * isqrt(max_key // bigger) + 1)
     assert _shell_sizes(gram, max_key) == counts

@@ -6,16 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from class_oracle import fraction_gcd, fraction_sqrt, primitive_integer_vector
-from conftest import make_amphicosm, rank, same_lattice, swap_xz
-from platycosms.euclid import Lattice, preset
+from conftest import (
+    make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm, rank, same_lattice, swap_xz,
+)
+from platycosms.euclid import _PRESETS, Lattice, preset
 from platycosms.linalg import (
     IDENTITY,
     det3,
     dot,
     form_points,
     fraction_to_str,
+    half_shell,
     hnf_rows,
     integer_kernel,
     inv3,
@@ -28,7 +32,7 @@ from platycosms.linalg import (
     vec,
     _round_div,
 )
-from platycosms.spectrum import _dual_action
+from platycosms.spectrum import _character_sum, _dual_action, _finalize, multiplicity
 
 
 def _mat_apply(a, x):
@@ -209,3 +213,47 @@ def test_ball_matches_brute_force(H):
     expected = [(y, v) for y in box for v in [_value(H, y)] if v <= hi]
     assert sorted(form_points(H, 0, hi)) == sorted(expected)
     assert sorted(form_points(H, 7, hi)) == sorted(p for p in expected if p[1] >= 7)
+
+
+# positive definite integer 3x3 forms H = A A^T, A lower triangular with a
+# positive diagonal, so cross terms of either sign appear
+_TRIANGULAR = st.tuples(
+    st.integers(1, 4), st.integers(-3, 3), st.integers(1, 4),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+)
+
+
+def _gram_of(a):
+    a00, a10, a11, a20, a21, a22 = a
+    rows = ((a00, 0, 0), (a10, a11, 0), (a20, a21, a22))
+    return tuple(tuple(sum(x * y for x, y in zip(u, w)) for w in rows) for u in rows)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_TRIANGULAR, st.integers(0, 300))
+def test_half_shell_and_its_negatives_are_the_shell(a, key):
+    """One point of each pair +-y: the walk and the negatives of its points
+    are exactly the shell, and no point comes with its negative."""
+    H = _gram_of(a)
+    half = half_shell(H, key)
+    assert all(_value(H, y) == key for y in half)
+    assert not {tuple(-c for c in y) for y in half} & set(half)
+    full = half + [tuple(-c for c in y) for y in half] + ([(0, 0, 0)] if key == 0 else [])
+    assert sorted(full) == sorted(y for y, _ in form_points(H, key, key))
+
+
+@pytest.mark.parametrize("space", [
+    *(preset(name) for name in sorted(_PRESETS)),
+    make_dicosm(), make_fcc_torus(), make_skew_dicosm(), make_amphicosm(),
+], ids=lambda P: P.name)
+def test_multiplicity_matches_the_full_shell_sum(space):
+    """Twice the real part of the half-shell sum, plus the origin at key 0,
+    is the character sum over the whole shell at every key up to 300, on
+    diagonal and non-diagonal forms, screw lines and a glide plane."""
+    data = _dual_action(space)
+    shells = {}
+    for y, key in form_points(data.gram, 0, 300):
+        shells.setdefault(key, []).append(y)
+    for key in range(301):
+        re, im = _character_sum(data, shells.get(key, []))
+        assert multiplicity(space, key) == _finalize(key, re, im, data.m)

@@ -13,7 +13,7 @@ from conftest import (
     rotate_x, same_lattice, swap_xz,
 )
 import platycosms
-from platycosms import selberg
+from platycosms import linalg, selberg
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import (
     CharacterSumError,
@@ -385,6 +385,23 @@ def test_table_probes_call_multiplicity(monkeypatch):
     assert probed == [0, 1, 20, 40]
 
 
+def test_table_probes_visit_half_shells(monkeypatch):
+    """A work guard with no timing: the probes of a new Tetra table at K =
+    600 take one integer square root per cross-section head and one per
+    row.  The half-shell walk takes 389 of them; a walk over whole shells
+    (772) or another probe key would take more."""
+    real, calls = linalg.isqrt, []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(linalg, "isqrt", counting)
+    fresh = PlatycosmPresentation("tetra-work-guard", TETRA.lattice, TETRA.holonomy_reps)
+    spectrum_table(fresh, 600)
+    assert 0 < len(calls) <= 389
+
+
 def test_table_names_the_least_bad_key(monkeypatch):
     """Character sums that are not multiples of m fail at the least such key."""
     real = spectrum_module._shell_sizes
@@ -500,6 +517,25 @@ def test_spectrum_table_validation():
             SpectrumTable(5, entries)
     with pytest.raises(ValueError):
         spectrum_table(TETRA, -1)
+
+
+def test_spectrum_table_normalizes_entries_to_int_pairs():
+    """Entries that are not already pairs of ints (bools, lists, any
+    iterable) are stored as tuples of ints; a bad pair still raises."""
+    expected = ((0, 1), (1, 2), (3, 1))
+    for entries in (
+        ((0, True), (True, 2), (3, 1)),
+        [[0, 1], [1, 2], [3, 1]],
+        iter([(0, 1), (1, 2), (3, True)]),
+        expected,
+    ):
+        table = SpectrumTable(5, entries)
+        assert table.entries == expected
+        assert all(type(c) is int for pair in table.entries for c in pair)
+        assert all(type(pair) is tuple for pair in table.entries)
+    for bad in (((0, 1, 2),), ((0, 1), (2,)), ((0, 1), "ab")):
+        with pytest.raises(ValueError):
+            SpectrumTable(5, bad)
 
 
 def test_multiplicity_of_range():
