@@ -486,9 +486,12 @@ def _numeral(entry) -> Fraction:
     int-from-string limit is refused as over the budget before any large
     integer is built."""
     text = str(entry)
-    # 0: no limit, as on Pythons older than the limit itself
+    # 0: no limit, as on Pythons older than the limit itself; read on every
+    # call, since sys.set_int_max_str_digits can change it
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
+    # a text no longer than the limit has no more digits than it, and only
+    # an 'e' or 'E' starts an exponent
+    if limit and (len(text) > limit or "e" in text or "E" in text):
         exponent = _EXPONENT.search(text)
         if sum(ch.isdigit() for ch in text) > limit or (
             exponent is not None and abs(int(exponent.group(1))) > limit

@@ -375,20 +375,30 @@ def _round_div(n: int, d: int) -> int:
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
-def size_reduce(rows, ip) -> list:
-    """Pairwise size-reduced basis of the lattice spanned by `rows` under
-    the inner product `ip`, longest vector first.  Every step is
-    unimodular and strictly shortens a vector, so it terminates."""
-    rows = [tuple(r) for r in rows]
+def size_reduce(gram):
+    """(U, U gram U^T) for a pairwise size-reduced basis U of the lattice
+    with the integer Gram matrix `gram`, longest vector first, U an
+    integer matrix of determinant +-1.  Subtracting mu times basis vector
+    j from vector i is a row step on U and on the Gram matrix, then a
+    column step on the latter.  Every step is unimodular and strictly
+    shortens a vector, so it terminates."""
+    n = len(gram)
+    G = [list(row) for row in gram]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
     changed = True
     while changed:
         changed = False
-        for i, j in permutations(range(len(rows)), 2):
-            mu = _round_div(ip(rows[i], rows[j]), ip(rows[j], rows[j]))
+        for i, j in permutations(range(n), 2):
+            mu = _round_div(G[i][j], G[j][j])
             if mu:
-                rows[i] = tuple(a - mu * b for a, b in zip(rows[i], rows[j]))
+                U[i] = [a - mu * b for a, b in zip(U[i], U[j])]
+                G[i] = [a - mu * b for a, b in zip(G[i], G[j])]
+                for row in G:
+                    row[i] -= mu * row[j]
                 changed = True
-    return sorted(rows, key=lambda r: ip(r, r), reverse=True)
+    order = sorted(range(n), key=lambda i: G[i][i], reverse=True)
+    return (tuple(tuple(U[i]) for i in order),
+            tuple(tuple(G[i][j] for j in order) for i in order))
 
 
 def reduced_gram(basis: Sequence[Vec3]):
@@ -397,7 +407,7 @@ def reduced_gram(basis: Sequence[Vec3]):
     integer matrix.  Norms of lattice points are then y^T G y / den for
     integer coordinates y, ready for `form_points`."""
     den = lcm(*(Fraction(c).denominator for row in basis for c in row))
-    rows = size_reduce([[int(c * den) for c in row] for row in basis], dot)
-    gram = tuple(tuple(dot(u, w) for w in rows) for u in rows)
-    reduced = [tuple(Fraction(c, den) for c in row) for row in rows]
+    rows = [[int(c * den) for c in row] for row in basis]
+    U, gram = size_reduce([[dot(u, w) for w in rows] for u in rows])
+    reduced = [tuple(Fraction(c, den) for c in row) for row in mat_mul(U, rows)]
     return reduced, gram, den * den

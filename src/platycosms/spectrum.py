@@ -18,27 +18,40 @@ package requires Q to be integral and every phase to be a fourth root of
 unity.  Phases are summed exactly in the Gaussian integers, and each
 multiplicity is asserted to be a nonnegative integer.
 
-Cost of a table up to key K, summed in lists indexed by key 0..K:
+Cost of a table up to key K.  A table is a function of m, Q, K and the
+twisted sums alone, so two spaces on which these agree (Tetra and Didi:
+m = 4, Q = diag(4, 4, 1), equal twisted sums) share one assembly:
 
-  identity term   shell sizes for every key at once.  When Q is
-                  diagonal they are the product of the three theta
-                  series sum_y x^(q y^2), each held in one int with a
-                  fixed-width slot per key: the densest series starts
-                  the product and each other one adds ~sqrt(K/q) shifted
-                  copies of it, O(K^1.5) machine words in all, then one
-                  unpacking.  Otherwise an enumeration of the
-                  ~(4pi/3)K^1.5/sqrt(det Q) points of the ball in Q
-                  coordinates;
-  twisted terms   the points of the integer fixed sublattice ker(Bg^T - 1)
-                  in the ball: O(sqrt K) walked directly along the line
-                  of a screw, O(K) on the plane of a glide;
-  multiplicities  a few passes of builtins over the K + 1 sums: no
-                  imaginary or negative sum, and the sums total m times
-                  their quotients by m; a key-ordered loop runs only when
-                  a check fails, to name the least bad key;
-  self-check      `multiplicity` at the keys 0, 1, K//2 and K: O(K) for
-                  the four together, under half the rest of the table
-                  at K = 400-799.
+  twisted terms   per space, the points of the integer fixed sublattice
+                  ker(Bg^T - 1) in the ball: O(sqrt K) walked directly
+                  along the line of a screw, O(K) on the plane of a
+                  glide, kept as the sorted nonzero sums of each key;
+  assembly        once per (m, Q, K, twisted sums), summed in a list
+                  indexed by key 0..K:
+    identity term   shell sizes for every key at once.  When Q is
+                    diagonal they are the product of the three theta
+                    series sum_y x^(q y^2), each held in one int with a
+                    fixed-width slot per key: the densest series starts
+                    the product and each other one adds ~sqrt(K/q)
+                    shifted copies of it, O(K^1.5) machine words in all,
+                    then one unpacking.  Otherwise an enumeration of the
+                    ~(4pi/3)K^1.5/sqrt(det Q) points of the ball in Q
+                    coordinates;
+    multiplicities  a few passes of builtins over the K + 1 sums: no
+                    imaginary or negative sum, and the sums total m
+                    times their quotients by m; a key-ordered loop runs
+                    only when a check fails, to name the least bad key;
+  self-check      per space, `multiplicity` at the keys 0, 1 and the
+                  largest nonempty shells at or below K//2 and K, read
+                  from the identity term (an empty shell would compare 0
+                  with 0): O(K) for the four together.  The shell walk
+                  depends on Q and the key alone, so the second space of
+                  a pair reuses the first one's; the rep matrices and
+                  phases applied to it are its own.
+
+The assembly memo holds 2 entries and the probe-shell memo 4: enough for
+the two sides of one comparison, too few to carry work from one
+comparison into the next.
 
 `multiplicity` evaluates one key independently of the table's fixed-line
 data.  `linalg.half_shell` walks one point of each pair +-x of the shell:
@@ -46,9 +59,10 @@ the O(K) (a, b) heads of half the ellipsoid's cross-sections, keeping a
 head only when the discriminant of the quadratic in the last coordinate
 is a perfect square, with one integer square root per head.  To each
 point it applies every rep's full matrix and phase, testing M x = x in
-plain integer arithmetic.  x and -x are fixed by the same reps and have
-conjugate phases, so the shell's sum is twice the real part of the half
-sum, plus the origin's at key 0.
+plain integer arithmetic; a rep whose matrix is I and whose phases are
+0, the identity, adds one per point.  x and -x are fixed by the same
+reps and have conjugate phases, so the shell's sum is twice the real
+part of the half sum, plus the origin's at key 0.
 
 `shell`, `orbit_dims` and the `DualVector`/`OrbitSpec` labels describe
 frequencies on the (a, b, c) grid Z x Z x (1/2)Z and refuse a dual
@@ -302,7 +316,7 @@ class _RepAction(NamedTuple):
 
 class _DualData(NamedTuple):
     m: int
-    lattice: Lattice  # Lstar on its reduced basis
+    U: tuple[tuple[int, ...], ...]  # reduced basis of Lstar on the dual basis
     gram: tuple[tuple[int, ...], ...]
     den: int
     actions: tuple[_RepAction, ...]  # the identity first
@@ -315,15 +329,15 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
     (y . x), so B^T acts on them by A^T and a translation with lattice
     coordinates c/den has phase 4 y.c / den.  The reduced basis is U
     times that one, with Gram matrix U G^-1 U^T for the lattice Gram
-    matrix G = basis basis^T / scale^2.  On reduced coordinates B^T is
-    M = U^-T A^T U^T, so its fixed sublattice ker(M - 1) is U^-T times
-    the rotation's kernel ker(A^T - 1) that the integer form keeps."""
+    matrix G = basis basis^T / scale^2, size-reduced on the integer
+    matrix adj(G).  On reduced coordinates B^T is M = U^-T A^T U^T, so its
+    fixed sublattice ker(M - 1) is U^-T times the rotation's kernel
+    ker(A^T - 1) that the integer form keeps."""
     form = P.form
     gram = mat_mul(form.basis, transpose(form.basis))
     gram_adj, gram_det = adj3(gram), det3(gram)
-    U = size_reduce(((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda u, w: dot(u, mat_vec(gram_adj, w)))
+    U, Q = size_reduce(gram_adj)
     num = 4 * form.scale * form.scale
-    Q = mat_mul(mat_mul(U, gram_adj), transpose(U))
     if any(num * c % gram_det for row in Q for c in row):
         raise UnsupportedGeometryError(
             "4 x Gram matrix of the dual lattice is not integral, so norm keys "
@@ -331,26 +345,31 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
         )
     Q = tuple(tuple(num * c // gram_det for c in row) for row in Q)
     # U is unimodular: U^-1 = det(U) adj(U)
-    U_inv_t = transpose(tuple(tuple(det3(U) * c for c in row) for row in adj3(U)))
-    cartesian = mat_mul(U, form.adj)  # the reduced basis times det / scale
-    lattice = Lattice(tuple(tuple(Fraction(form.scale * c, form.det) for c in row)
-                            for row in cartesian))
+    det_U, U_t = det3(U), transpose(U)
+    U_inv_t = transpose(tuple(tuple(det_U * c for c in row) for row in adj3(U)))
 
     def ip(u, w):
         return dot(u, mat_vec(Q, w))
 
     actions = []
     for i, (A, c) in enumerate(zip(form.rots, form.trans)):
-        M = mat_mul(mat_mul(U_inv_t, transpose(A)), transpose(U))
+        M = mat_mul(mat_mul(U_inv_t, transpose(A)), U_t)
         phase = tuple(4 * x for x in mat_vec(U, c))
-        fixed = size_reduce([mat_vec(U_inv_t, f) for f in form.fixed[i - 1]], ip) if i else ()
+        fixed = [mat_vec(U_inv_t, f) for f in form.fixed[i - 1]] if i else []
+        if len(fixed) > 1:
+            # a glide plane: a size-reduced basis of it; a line needs none
+            V, fixed_gram = size_reduce([[ip(u, w) for w in fixed] for u in fixed])
+            fixed = [tuple(sum(v * f[k] for v, f in zip(row, fixed)) for k in range(3))
+                     for row in V]
+        else:
+            fixed_gram = tuple((ip(f, f),) for f in fixed)
         actions.append(_RepAction(
             M=M,
             phase=phase,
-            fixed_gram=tuple(tuple(ip(u, w) for w in fixed) for u in fixed),
+            fixed_gram=fixed_gram,
             fixed_phase=tuple(dot(f, phase) for f in fixed),
         ))
-    return _DualData(len(P.holonomy_reps), lattice, Q, form.den, tuple(actions))
+    return _DualData(len(P.holonomy_reps), U, Q, form.den, tuple(actions))
 
 
 def _quarter_turns(num: int, den: int) -> int:
@@ -361,6 +380,7 @@ def _quarter_turns(num: int, den: int) -> int:
     return (num // den) & 3
 
 
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _RE = (1, 0, -1, 0)
 _IM = (0, 1, 0, -1)
 
@@ -371,6 +391,10 @@ def _character_sum(data: _DualData, points) -> tuple[int, int]:
     points = list(points)
     re = im = 0
     for act in data.actions:
+        if act.M == _IDENTITY and not any(act.phase):
+            # the identity fixes every point with phase 1
+            re += len(points)
+            continue
         # the rep's full matrix and phase as plain ints, applied to every point
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = act.M
         p0, p1, p2 = act.phase
@@ -395,6 +419,15 @@ def _finalize(key: int, re: int, im: int, m: int) -> int:
     return re // m
 
 
+# Sized for one comparison: the four probe keys of one Q.  Both spaces of an
+# isospectral pair with the same Q walk each probe shell once; a larger
+# memo would carry shells from one comparison into the next.
+@lru_cache(maxsize=4)
+def _probe_shell(gram, key: int) -> tuple[tuple[int, int, int], ...]:
+    """`half_shell(gram, key)`, which depends on nothing but Q and the key."""
+    return tuple(half_shell(gram, key))
+
+
 def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     """Exact dimension of the holonomy-invariant subspace of the key shell."""
     if key < 0:
@@ -404,7 +437,7 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     # x and -x are fixed by the same reps with conjugate phases, so the
     # shell's sum is twice the real part of the sum over one of each pair,
     # plus the origin's at key 0
-    re, _ = _character_sum(data, half_shell(data.gram, key))
+    re, _ = _character_sum(data, _probe_shell(data.gram, key))
     re *= 2
     if not key:
         re += _character_sum(data, ((0, 0, 0),))[0]
@@ -414,11 +447,15 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
 def orbit_dims(P: PlatycosmPresentation, orbit: OrbitSpec) -> int:
     """Dimension of the symmetrized image of the orbit's span."""
     data = _dual_action(P)
-    _require_grid(data.lattice)
+    form = P.form
+    # Lstar on its reduced basis, whose rows are U adj / det times scale
+    lattice = Lattice(tuple(tuple(Fraction(form.scale * c, form.det) for c in row)
+                            for row in mat_mul(data.U, form.adj)))
+    _require_grid(lattice)
     vectors = orbit.vectors()
     points = []
     for v in vectors:
-        x = data.lattice.coords(v.vector())
+        x = lattice.coords(v.vector())
         if any(c.denominator != 1 for c in x):
             raise ValueError(f"orbit vector {v} is not in the dual lattice")
         points.append(tuple(int(c) for c in x))
@@ -492,39 +529,69 @@ def _shell_sizes(gram, max_key: int) -> list[int]:
     return sizes
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
-    data = _dual_action(P)
+def _twisted_sums(data: _DualData, max_key: int) -> tuple[tuple[int, int, int], ...]:
+    """The twisted terms up to max_key, summed over the reps g != 1: one
+    (key, re, im) for each key with a nonzero sum, in key order."""
     den = data.den
-    re = _shell_sizes(data.gram, max_key)
-    im = [0] * (max_key + 1)
+    re, im = {0: 0}, {}
     for act in data.actions[1:]:
         if len(act.fixed_gram) == 1:
             # a screw line: the points y and -y share the key q y^2 and have
             # conjugate phases i^(+-p y / den), so they add 2 Re i^(p y / den)
             q, p = act.fixed_gram[0][0], act.fixed_phase[0]
             re[0] += 1
-            for y in range(1, isqrt(max_key // q) + 1):
-                re[q * y * y] += 2 * _RE[_quarter_turns(p * y, den)]
+            n = isqrt(max_key // q)
+            if n:
+                step = _quarter_turns(p, den)
+                for y in range(1, n + 1):
+                    key = q * y * y
+                    re[key] = re.get(key, 0) + 2 * _RE[step * y & 3]
             continue
         for y, key in form_points(act.fixed_gram, 0, max_key):
             r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), den)
-            re[key] += _RE[r]
-            im[key] += _IM[r]
-    m = data.m
+            re[key] = re.get(key, 0) + _RE[r]
+            im[key] = im.get(key, 0) + _IM[r]
+    sums = ((key, r, im.get(key, 0)) for key, r in sorted(re.items()))
+    return tuple(t for t in sums if t[1] or t[2])
+
+
+# Sized for one comparison, as `_probe_shell` is.
+@lru_cache(maxsize=2)
+def _assembly(m: int, gram, max_key: int, twisted):
+    """(table, probes) of every space with holonomy order m, dual form
+    Q = gram and these twisted sums: the identity term, the passes over
+    the sums and the multiplicities, from these four inputs alone, with
+    the (key, multiplicity) pairs each space's probes must reproduce."""
+    re = _shell_sizes(gram, max_key)
+    # the self-check keys: 0, 1 and the largest nonempty shells at or below
+    # K//2 and K (key 0 is never empty)
+    probe_keys = sorted({0, 1, *(next(k for k in range(top, -1, -1) if re[k])
+                                 for top in (max_key // 2, max_key))})
+    for key, r, _ in twisted:
+        re[key] += r
+    im = {key: i for key, _, i in twisted if i}
     sums = list(compress(re, re))
     mults = list(map(floordiv, sums, repeat(m)))
     # with no imaginary or negative sum, each sum r is at least m (r // m),
     # so the totals agree exactly when every sum is a multiple of m
-    if any(im) or min(re) < 0 or sum(sums) != m * sum(mults):
+    if im or min(re) < 0 or sum(sums) != m * sum(mults):
         # in key order, so the error names the least bad key
-        for key, r, i in zip(count(), re, im):
+        for key, r in enumerate(re):
+            i = im.get(key, 0)
             if i or r < 0 or r % m:
                 _finalize(key, r, i, m)  # raises
     table = SpectrumTable(max_key, tuple(zip(compress(count(), re), mults)))
+    return table, tuple((key, re[key] // m) for key in probe_keys if key <= max_key)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _table(P: PlatycosmPresentation, max_key: int) -> SpectrumTable:
+    data = _dual_action(P)
+    table, probes = _assembly(data.m, data.gram, max_key, _twisted_sums(data, max_key))
     # spot-check the decomposition against independent per-key shell sums
-    for key in sorted({0, 1, max_key // 2, max_key}):
-        if key <= max_key and multiplicity(P, key) != re[key] // m:
+    # of this space
+    for key, mult in probes:
+        if multiplicity(P, key) != mult:
             raise CharacterSumError(
                 f"aggregate table disagrees with per-key multiplicity at {key}"
             )

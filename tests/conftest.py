@@ -3,6 +3,9 @@
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
+from platycosms import spectrum
 from platycosms.euclid import (
     IDENTITY_ISOMETRY, Isometry, Lattice, PlatycosmPresentation, compose, inverse,
 )
@@ -163,3 +166,17 @@ def presentations_of(P: PlatycosmPresentation):
         PlatycosmPresentation(P.name, lat, shifted),
         PlatycosmPresentation(P.name, rebased, P.holonomy_reps),
     ], swap_xz(P)
+
+
+def clear_spectrum_memos() -> None:
+    """Empty the spectrum's two memos of one comparison, so the next table
+    assembles anew and its probes walk their shells."""
+    spectrum._assembly.cache_clear()
+    spectrum._probe_shell.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_spectrum_memos():
+    """Every test starts with empty comparison memos: a table built under a
+    fresh name is then also a fresh assembly."""
+    clear_spectrum_memos()

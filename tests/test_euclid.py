@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from math import lcm
@@ -492,7 +493,8 @@ def test_malformed_shapes_are_refused(doc_change):
         presentation_from_json(doc)
 
 
-@pytest.mark.parametrize("numeral", ["1e5000000", "1E-5000000", "1" * 5000, "1/" + "1" * 5000])
+@pytest.mark.parametrize("numeral", ["1e5000000", "1E-5000000", "1" * 5000, "1/" + "1" * 5000,
+                                     "1" * 4301, "1e99999"])
 def test_oversized_numerals_are_refused(numeral):
     doc = presentation_to_json(preset("tetra"))
     doc["lattice"][0][0] = numeral
@@ -500,6 +502,21 @@ def test_oversized_numerals_are_refused(numeral):
     with pytest.raises(InvalidPresentationError, match="digits"):
         presentation_from_json(doc)
     assert time.perf_counter() - start < 0.5
+
+
+def test_numeral_limit_is_read_on_every_call():
+    """A 4,301-digit numeral for 1 is read once the limit is raised to
+    5,000, and refused again once it is back at the default of 4,300."""
+    doc = presentation_to_json(preset("tetra"))
+    doc["lattice"][0][0] = "0" * 4300 + "1"
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert presentation_from_json(doc) == preset("tetra")
+    finally:
+        sys.set_int_max_str_digits(default)
+    with pytest.raises(InvalidPresentationError, match="digits"):
+        presentation_from_json(doc)
 
 
 def test_numerals_within_the_limit_are_read():

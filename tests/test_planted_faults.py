@@ -5,9 +5,10 @@ A fault is planted for one test only, by monkeypatching the `spectrum`
 module (a wrapper, or a copy of one function compiled from its source with
 one expression changed); the package source is never edited.  Each test
 also records which check caught the fault: the one ascending pass over the
-character sums (`pass`), or a per-key `multiplicity` probe at 0, 1, K//2
-or K (`probe`), which fails either inside its own sum or by disagreeing
-with the table.
+character sums (`pass`), or a per-key `multiplicity` probe at 0, 1 or the
+largest nonempty shell at or below K//2 or K (`probe`), which fails either
+inside its own sum or by disagreeing with the table.  Every test starts
+with empty comparison memos, so a fresh name is a fresh assembly.
 """
 
 import inspect
@@ -15,6 +16,7 @@ import re
 
 import pytest
 
+from conftest import clear_spectrum_memos
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import CharacterSumError
 from platycosms.euclid import PlatycosmPresentation, preset
@@ -52,16 +54,16 @@ def _caught(space, max_key: int):
 def test_wrong_screw_phase_is_caught_by_the_pass(monkeypatch):
     """Every point of a screw line turned a further quarter: the sum at key 1,
     on Tetra's z screw line, becomes 2, not a multiple of m = 4."""
-    monkeypatch.setattr(spectrum_module, "_table", _mutant(
-        spectrum_module._table, "_quarter_turns(p * y, den)", "_quarter_turns(p * y + den, den)"))
+    monkeypatch.setattr(spectrum_module, "_twisted_sums", _mutant(
+        spectrum_module._twisted_sums, "step * y & 3", "(step * y + 1) & 3"))
     assert _caught(_fresh("phase"), 40) == ("pass", 1)
 
 
 def test_dropped_screw_factor_two_is_caught_by_the_pass(monkeypatch):
     """A screw line walked over y >= 1 without its negatives: the sum at
     key 1 becomes 1."""
-    monkeypatch.setattr(spectrum_module, "_table", _mutant(
-        spectrum_module._table, "2 * _RE[", "_RE["))
+    monkeypatch.setattr(spectrum_module, "_twisted_sums", _mutant(
+        spectrum_module._twisted_sums, "2 * _RE[", "_RE["))
     assert _caught(_fresh("factor"), 40) == ("pass", 1)
 
 
@@ -82,7 +84,10 @@ def test_shell_walk_dropping_a_point_is_caught_by_a_probe(monkeypatch):
     """The shell walk behind each probe loses its first nonzero point.  At
     key 1 that point lies on the z screw line, whose points add 1 - 1 = 0,
     so nothing shows; at K//2 = 20 no point lies on a screw line, every
-    point adds 1 to a sum of 24, and the probe fails there."""
+    point adds 1 to a sum of 24, and the probe fails there.  At K = 799,
+    the benchmark's largest key, K//2 = 399 and K itself are empty shells;
+    the probes go to 397 and 797, the largest nonempty ones at or below,
+    and the one at 397 (24 points, none on a screw line) fails."""
     real = spectrum_module._character_sum
 
     def dropping(data, points):
@@ -94,6 +99,7 @@ def test_shell_walk_dropping_a_point_is_caught_by_a_probe(monkeypatch):
 
     monkeypatch.setattr(spectrum_module, "_character_sum", dropping)
     assert _caught(_fresh("drop"), 40) == ("probe", 20)
+    assert _caught(_fresh("drop-799"), 799) == ("probe", 397)
 
 
 def test_narrow_slot_width_is_caught_by_a_probe(monkeypatch):
@@ -107,6 +113,7 @@ def test_narrow_slot_width_is_caught_by_a_probe(monkeypatch):
     sizes = spectrum_module._shell_sizes(spectrum_module._dual_action(TETRA).gram, 1076)
     assert max(sizes[:800]) == 240 and max(sizes[:1076]) < 256 and sizes[1076] == 264
     exact = spectrum_table(TETRA, 799)
+    clear_spectrum_memos()  # else the faulted table below is the memo's exact one
     # the width is the least that holds the bound computed with `prod`: a
     # bound of 1 puts the product on 1-byte slots
     monkeypatch.setattr(spectrum_module, "prod", lambda factors: 1)

@@ -2,15 +2,17 @@
 
 import cmath
 import importlib
+import importlib.util
 import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import (
-    make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm, make_tricosm,
-    rotate_x, same_lattice, swap_xz,
+    clear_spectrum_memos, make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm,
+    make_tricosm, rotate_x, same_lattice, swap_xz,
 )
 import platycosms
 from platycosms import linalg, selberg
@@ -27,6 +29,7 @@ from platycosms.euclid import (
     Lattice,
     PlatycosmPresentation,
     betti_one,
+    compose,
     preset,
     presentation_from_json,
     presentation_to_json,
@@ -402,6 +405,101 @@ def test_table_probes_visit_half_shells(monkeypatch):
     assert 0 < len(calls) <= 389
 
 
+def _variants():
+    """The benchmark's variant generator (`perfbench/variants.py`)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "variants.py"
+    spec = importlib.util.spec_from_file_location("perfbench_variants", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _variant(base: str, kind: int, seed: int) -> PlatycosmPresentation:
+    variants = _variants()
+    doc = variants.variant(base, kind, f"{base}-{kind}-{seed}", random.Random(seed))
+    return presentation_from_json(doc)
+
+
+def _amphidicosm() -> PlatycosmPresentation:
+    """Z x Z x 2Z divided by a half-turn screw about z and a glide: the
+    holonomy order m = 4 and the dual form Q = diag(4, 4, 1) of Tetra and
+    Didi, with other twisted sums.  (A valid change of the translation of
+    a Didi or Tetra screw is a lattice vector or a change of origin, which
+    keeps the twisted sums.)"""
+    h = Fraction(1, 2)
+    screw = Isometry(mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]), (0, 0, 1))
+    glide = Isometry(mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), (h, 0, 0))
+    return PlatycosmPresentation("amphidicosm", TETRA.lattice,
+                                 (TETRA.holonomy_reps[0], screw, glide, compose(screw, glide)))
+
+
+def test_isospectral_pair_assembles_once(monkeypatch):
+    """A work guard with no timing.  Fresh Tetra and Didi variants have the
+    same m, Q and twisted sums, so at K = 600 the pair makes one assembly:
+    one `_shell_sizes` call, and one walk of each probe shell with key >= 2
+    (300 and 600).  Each side still runs its own 4 `multiplicity` probes."""
+    counts = {"sizes": 0, "walks": 0, "probes": 0}
+
+    def counting(name, real, keyed=False):
+        def wrapper(*args):
+            if not keyed or args[1] >= 2:
+                counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectrum_module, "_shell_sizes",
+                        counting("sizes", spectrum_module._shell_sizes))
+    monkeypatch.setattr(spectrum_module, "half_shell",
+                        counting("walks", spectrum_module.half_shell, keyed=True))
+    monkeypatch.setattr(spectrum_module, "multiplicity",
+                        counting("probes", spectrum_module.multiplicity))
+    verdict = is_isospectral(_variant("tetra", 15, 1), _variant("didi", 13, 2), 600)
+    assert verdict.equal
+    assert counts == {"sizes": 1, "walks": 2, "probes": 8}
+    assert spectrum_module._assembly.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("right, first", [
+    (make_dicosm(), (4, 1, 4)),
+    (preset("two_tall"), (1, 0, 2)),
+    (_amphidicosm(), (4, 1, 3)),
+], ids=lambda v: getattr(v, "name", ""))
+def test_pairs_that_differ_share_no_assembly(right, first):
+    """Tetra against a space with another m (the dicosm, the two-tall
+    torus) or other twisted sums (the amphidicosm) gets two assemblies,
+    and the verdict names the same first key and multiplicities as two
+    tables built apart."""
+    spectrum_module._table.cache_clear()
+    verdict = is_isospectral(TETRA, right, 3000)
+    assert spectrum_module._assembly.cache_info().misses == 2
+    assert (verdict.first_differing_key, verdict.left_multiplicity,
+            verdict.right_multiplicity) == first
+    spectrum_module._table.cache_clear()
+    clear_spectrum_memos()
+    left = spectrum_table(TETRA, 3000)
+    clear_spectrum_memos()
+    assert left.first_difference(spectrum_table(right, 3000)) == first
+
+
+def test_tables_do_not_depend_on_the_memos():
+    """The presets, their conjugates and the benchmark's 48 variant kinds
+    give the same tables at K = 600 whether each is built after the one
+    before, sharing its assembly and probe shells, or with every memo and
+    cache cleared."""
+    spaces = [preset(name) for name in ("tetra", "didi", "two_tall", "cubical_torocosm")]
+    spaces += [conj(P) for P in spaces[:2] for conj in (swap_xz, rotate_x)]
+    spaces += [_variant(base, kind, 3) for base in ("tetra", "didi", "dicosm")
+               for kind in range(16)]
+    spectrum_module._table.cache_clear()
+    shared = [spectrum_table(P, 600) for P in spaces]
+    alone = []
+    for P in spaces:
+        spectrum_module._table.cache_clear()
+        clear_spectrum_memos()
+        alone.append(spectrum_table(P, 600))
+    assert shared == alone
+
+
 def test_table_names_the_least_bad_key(monkeypatch):
     """Character sums that are not multiples of m fail at the least such key."""
     real = spectrum_module._shell_sizes
@@ -464,20 +562,24 @@ def test_caches_stay_within_bound():
             spectrum_table(space, bound)
             twisted_classes(space, Fraction(bound + 1, 2))
     caches = {
-        f"{module.__name__}.{name}": value
+        f"{value.__module__}.{value.__qualname__}": value
         for info in pkgutil.iter_modules(platycosms.__path__)
         for module in [importlib.import_module(f"platycosms.{info.name}")]
-        for name, value in vars(module).items()
+        for value in vars(module).values()
         if hasattr(value, "cache_info")
     }
-    assert set(caches) >= {
-        "platycosms.spectrum._dual_action", "platycosms.spectrum._table",
-        "platycosms.geodesics._class_table", "platycosms.geodesics.twisted_classes",
+    # the presentation caches hold CACHE_SIZE entries; the memos of one
+    # comparison hold one assembly per side and one shell per probe key
+    sizes = {
+        "platycosms.spectrum._dual_action": CACHE_SIZE, "platycosms.spectrum._table": CACHE_SIZE,
+        "platycosms.geodesics._class_table": CACHE_SIZE,
+        "platycosms.geodesics.twisted_classes": CACHE_SIZE,
+        "platycosms.spectrum._assembly": 2, "platycosms.spectrum._probe_shell": 4,
     }
-    for cache in caches.values():
+    assert set(caches) == set(sizes)
+    for name, cache in caches.items():
         info = cache.cache_info()
-        assert info.maxsize == CACHE_SIZE
-        assert info.currsize <= CACHE_SIZE
+        assert (info.maxsize, info.currsize) == (sizes[name], sizes[name])
 
 
 def test_key_budget_is_checked_before_any_work(monkeypatch):
