@@ -64,9 +64,11 @@ plain integer arithmetic; a rep whose matrix is I and whose phases are
 reps and have conjugate phases, so the shell's sum is twice the real
 part of the half sum, plus the origin's at key 0.
 
-`shell`, `orbit_dims` and the `DualVector`/`OrbitSpec` labels describe
-frequencies on the (a, b, c) grid Z x Z x (1/2)Z and refuse a dual
-lattice outside it.
+Frequencies are exact Cartesian vectors, with no grid: `shell` lists the
+vectors of one key of any dual lattice whose 4*Gram is integral, and
+`orbit_dims` takes any set of dual vectors that the holonomy maps to
+itself, in the reduced coordinates x = U^-T y of their coordinates y on
+the basis dual to the lattice basis.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from math import isqrt, prod
-from operator import floordiv, ge
+from operator import floordiv, ge, index
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -91,19 +93,16 @@ from .errors import (
 from .euclid import CACHE_SIZE, Lattice, PlatycosmPresentation
 from .linalg import (
     Vec3, adj3, det3, dot, form_points, half_shell, inv3, mat_mul, mat_vec,
-    reduced_gram, size_reduce, transpose, vec,
+    reduced_gram, size_reduce, transpose,
 )
 
 __all__ = [
-    "DualVector",
-    "OrbitSpec",
     "SpectrumTable",
     "IsospectralVerdict",
     "dual_lattice",
     "shell",
     "multiplicity",
     "orbit_dims",
-    "orbits_in_shell",
     "spectrum_table",
     "is_isospectral",
     "circle_spectrum",
@@ -121,53 +120,6 @@ def _check_budget(key: int, what: str) -> None:
         raise CutoffBudgetError(
             f"{what} to norm key {abridged(key)} is over the budget of {SPECTRAL_KEY_BUDGET} keys"
         )
-
-
-@dataclass(frozen=True, order=True)
-class DualVector:
-    """Frequency vector (a, b, c) with c stored as the integer 2c."""
-
-    a: int
-    b: int
-    c2: int
-
-    @property
-    def norm_key(self) -> int:
-        return 4 * self.a * self.a + 4 * self.b * self.b + self.c2 * self.c2
-
-    def vector(self) -> Vec3:
-        return vec(self.a, self.b, Fraction(self.c2, 2))
-
-    def __neg__(self) -> "DualVector":
-        return DualVector(-self.a, -self.b, -self.c2)
-
-
-@dataclass(frozen=True, order=True)
-class OrbitSpec:
-    """Canonical label (a >= b >= 0, c >= 0) of the span generated from
-    (a, b, c) by sign flips and by swapping the first two frequencies."""
-
-    a: int
-    b: int
-    c2: int
-
-    def __post_init__(self):
-        if not (self.a >= self.b >= 0 and self.c2 >= 0):
-            raise ValueError("orbit label must satisfy a >= b >= 0, c >= 0")
-
-    @classmethod
-    def of(cls, v: DualVector) -> "OrbitSpec":
-        hi, lo = sorted((abs(v.a), abs(v.b)), reverse=True)
-        return cls(hi, lo, abs(v.c2))
-
-    def vectors(self) -> tuple[DualVector, ...]:
-        out = set()
-        for x, y in ((self.a, self.b), (self.b, self.a)):
-            for sx in (1, -1):
-                for sy in (1, -1):
-                    for sz in (1, -1):
-                        out.add(DualVector(sx * x, sy * y, sz * self.c2))
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -189,7 +141,10 @@ class SpectrumTable:
             and {*map(len, entries)} <= {2}
             and {*map(type, flat)} <= {int}
         ):
-            entries = tuple((int(k), int(m)) for k, m in entries)
+            try:
+                entries = tuple((index(k), index(m)) for k, m in entries)
+            except TypeError as exc:
+                raise ValueError(f"entries must be pairs of integers: {exc}") from None
             flat = list(chain.from_iterable(entries))
         object.__setattr__(self, "entries", entries)
         keys, mults = flat[::2], flat[1::2]
@@ -259,40 +214,29 @@ def dual_lattice(L: Lattice) -> Lattice:
     return Lattice(inv3(transpose(L.basis)))
 
 
-def _gram_coordinates(Lstar: Lattice):
-    """(reduced basis, Q = 4 * its Gram matrix as integers)."""
-    basis, gram, den = reduced_gram(Lstar.basis)
-    if any(4 * c % den for row in gram for c in row):
+def _key_form(gram, num: int, den: int) -> tuple[tuple[int, ...], ...]:
+    """Q = num * gram / den in integers, the form 4 x Gram of norm keys on a
+    reduced dual basis; refused when it is not integral."""
+    if any(num * c % den for row in gram for c in row):
         raise UnsupportedGeometryError(
             "4 x Gram matrix of the dual lattice is not integral, so norm keys "
             "are not integers"
         )
-    return basis, tuple(tuple(4 * c // den for c in row) for row in gram)
+    return tuple(tuple(num * c // den for c in row) for row in gram)
 
 
-def _require_grid(Lstar: Lattice) -> None:
-    for row in Lstar.basis:
-        if row[0].denominator != 1 or row[1].denominator != 1 or (2 * row[2]).denominator != 1:
-            raise UnsupportedGeometryError(
-                "dual lattice is not contained in the Z x Z x (1/2)Z grid"
-            )
-
-
-def shell(Lstar: Lattice, key: int) -> tuple[DualVector, ...]:
-    """All dual vectors of norm key exactly `key`, sorted, closed under
-    negation."""
+def shell(Lstar: Lattice, key: int) -> tuple[Vec3, ...]:
+    """All vectors of Lstar with norm key exactly `key`, as exact Cartesian
+    vectors, sorted and closed under negation."""
     if key < 0:
         raise ValueError("norm keys are nonnegative")
     _check_budget(key, "shell")
-    _require_grid(Lstar)
-    basis, gram = _gram_coordinates(Lstar)
-    points = half_shell(gram, key)
+    basis, gram, den = reduced_gram(Lstar.basis)
+    points = half_shell(_key_form(gram, 4, den), key)
     points += [(-x0, -x1, -x2) for x0, x1, x2 in points] if key else [(0, 0, 0)]
-    out = []
-    for x in points:
-        v = [sum(xi * d[k] for xi, d in zip(x, basis)) for k in range(3)]
-        out.append(DualVector(int(v[0]), int(v[1]), int(2 * v[2])))
-    return tuple(sorted(out))
+    return tuple(sorted(
+        tuple(sum(xi * e[k] for xi, e in zip(x, basis)) for k in range(3)) for x in points
+    ))
 
 
 # --- holonomy action on dual coordinates -------------------------------------
@@ -316,7 +260,9 @@ class _RepAction(NamedTuple):
 
 class _DualData(NamedTuple):
     m: int
-    U: tuple[tuple[int, ...], ...]  # reduced basis of Lstar on the dual basis
+    # U^-T for the reduced basis U of Lstar on the basis dual to the
+    # lattice basis: it maps coordinates on that basis to reduced ones
+    U_inv_t: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     den: int
     actions: tuple[_RepAction, ...]  # the identity first
@@ -337,13 +283,7 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
     gram = mat_mul(form.basis, transpose(form.basis))
     gram_adj, gram_det = adj3(gram), det3(gram)
     U, Q = size_reduce(gram_adj)
-    num = 4 * form.scale * form.scale
-    if any(num * c % gram_det for row in Q for c in row):
-        raise UnsupportedGeometryError(
-            "4 x Gram matrix of the dual lattice is not integral, so norm keys "
-            "are not integers"
-        )
-    Q = tuple(tuple(num * c // gram_det for c in row) for row in Q)
+    Q = _key_form(Q, 4 * form.scale * form.scale, gram_det)
     # U is unimodular: U^-1 = det(U) adj(U)
     det_U, U_t = det3(U), transpose(U)
     U_inv_t = transpose(tuple(tuple(det_U * c for c in row) for row in adj3(U)))
@@ -369,7 +309,7 @@ def _dual_action(P: PlatycosmPresentation) -> _DualData:
             fixed_gram=fixed_gram,
             fixed_phase=tuple(dot(f, phase) for f in fixed),
         ))
-    return _DualData(len(P.holonomy_reps), U, Q, form.den, tuple(actions))
+    return _DualData(len(P.holonomy_reps), U_inv_t, Q, form.den, tuple(actions))
 
 
 def _quarter_turns(num: int, den: int) -> int:
@@ -444,28 +384,26 @@ def multiplicity(P: PlatycosmPresentation, key: int) -> int:
     return _finalize(key, re, 0, data.m)
 
 
-def orbit_dims(P: PlatycosmPresentation, orbit: OrbitSpec) -> int:
-    """Dimension of the symmetrized image of the orbit's span."""
+def orbit_dims(P: PlatycosmPresentation, frequencies) -> int:
+    """Dimension of the holonomy-invariant span of the Fourier modes with
+    these frequencies: exact Cartesian vectors of the dual lattice, taken
+    as a set that every holonomy rep maps to itself (0 for no vectors)."""
     data = _dual_action(P)
     form = P.form
-    # Lstar on its reduced basis, whose rows are U adj / det times scale
-    lattice = Lattice(tuple(tuple(Fraction(form.scale * c, form.det) for c in row)
-                            for row in mat_mul(data.U, form.adj)))
-    _require_grid(lattice)
-    vectors = orbit.vectors()
-    points = []
-    for v in vectors:
-        x = lattice.coords(v.vector())
-        if any(c.denominator != 1 for c in x):
-            raise ValueError(f"orbit vector {v} is not in the dual lattice")
-        points.append(tuple(int(c) for c in x))
+    points = set()
+    for v in frequencies:
+        # y = L v on the basis dual to the lattice basis L = basis / scale
+        y = [Fraction(dot(row, v)) / form.scale for row in form.basis]
+        if any(c.denominator != 1 for c in y):
+            raise ValueError(f"frequency {v} is not in the dual lattice")
+        points.add(mat_vec(data.U_inv_t, [int(c) for c in y]))
+    # without closure the character sum is not the trace of a projector
+    for act in data.actions:
+        if any(mat_vec(act.M, x) not in points for x in points):
+            raise ValueError("the holonomy does not map the frequencies to themselves")
     re, im = _character_sum(data, points)
-    return _finalize(vectors[0].norm_key, re, im, data.m)
-
-
-def orbits_in_shell(Lstar: Lattice, key: int) -> tuple[OrbitSpec, ...]:
-    """Canonical orbit labels partitioning the key shell."""
-    return tuple(sorted({OrbitSpec.of(v) for v in shell(Lstar, key)}))
+    key = max((dot(x, mat_vec(data.gram, x)) for x in points), default=0)
+    return _finalize(key, re, im, data.m)
 
 
 # --- spectrum tables -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Spectra: shells, character sums, orbit bookkeeping, isospectrality."""
+"""Spectra: shells, character sums, orbit dimensions, isospectrality."""
 
 import cmath
 import importlib
@@ -37,18 +37,15 @@ from platycosms.euclid import (
     volume,
 )
 from platycosms.geodesics import imprimitivity, twisted_classes
-from platycosms.linalg import dot, mat
+from platycosms.linalg import dot, inv3, mat, mat_mul, mat_vec, transpose
 from platycosms.spectrum import (
     SPECTRAL_KEY_BUDGET,
-    DualVector,
-    OrbitSpec,
     SpectrumTable,
     circle_spectrum,
     dual_lattice,
     is_isospectral,
     multiplicity,
     orbit_dims,
-    orbits_in_shell,
     shell,
     spectrum_table,
 )
@@ -109,22 +106,29 @@ def _brute_shell(key, c2_filter=None):
     return out
 
 
+def _abc2(vectors):
+    """Vectors (a, b, c) as the triples (a, b, 2c) of the oracle; whole
+    Fractions compare and hash as the ints they equal."""
+    return {(a, b, 2 * c) for a, b, c in vectors}
+
+
 def test_shell_examples():
-    assert shell(HALF_DUAL, 0) == (DualVector(0, 0, 0),)
-    assert set((v.a, v.b, v.c2) for v in shell(HALF_DUAL, 1)) == {(0, 0, 1), (0, 0, -1)}
+    assert shell(HALF_DUAL, 0) == ((0, 0, 0),)
+    assert _abc2(shell(HALF_DUAL, 1)) == {(0, 0, 1), (0, 0, -1)}
     four = shell(HALF_DUAL, 4)
     assert len(four) == 6
-    assert set((v.a, v.b, v.c2) for v in four) == _brute_shell(4)
+    assert _abc2(four) == _brute_shell(4)
+    assert all(type(c) is Fraction for v in four for c in v)
 
 
 @pytest.mark.parametrize("key", [0, 1, 2, 3, 5, 8, 12, 25, 36, 49])
 def test_shell_against_brute_force(key):
-    assert set((v.a, v.b, v.c2) for v in shell(HALF_DUAL, key)) == _brute_shell(key)
+    assert _abc2(shell(HALF_DUAL, key)) == _brute_shell(key)
 
 
 def test_shell_of_cubic_dual_filters_half_integers():
     cubic_dual = dual_lattice(Lattice(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
-    assert set((v.a, v.b, v.c2) for v in shell(cubic_dual, 4)) == _brute_shell(
+    assert _abc2(shell(cubic_dual, 4)) == _brute_shell(
         4, c2_filter=lambda c2: c2 % 2 == 0
     )
 
@@ -132,7 +136,7 @@ def test_shell_of_cubic_dual_filters_half_integers():
 def test_shell_closed_under_negation_and_sorted():
     vs = shell(HALF_DUAL, 20)
     assert list(vs) == sorted(vs)
-    assert set(vs) == {-v for v in vs}
+    assert set(vs) == {tuple(-c for c in v) for v in vs}
 
 
 def test_shell_rejects_off_grid_lattice():
@@ -150,8 +154,7 @@ def _numeric_multiplicity(P, key):
     Gaussian-integer path)."""
     Lstar = dual_lattice(translation_lattice(P))
     total = 0j
-    for v in shell(Lstar, key):
-        w = v.vector()
+    for w in shell(Lstar, key):
         for g in P.holonomy_reps:
             image = tuple(
                 sum(g.rot[r][c] * w[r] for r in range(3)) for c in range(3)
@@ -191,21 +194,24 @@ def test_multiplicity_rejects_sixth_roots():
         multiplicity(make_tricosm(), 4)
 
 
-# --- orbit bookkeeping -------------------------------------------------------------
+# --- orbit dimensions -------------------------------------------------------------
 
 
-def test_orbit_spec_canonicalization():
-    assert OrbitSpec.of(DualVector(-2, 3, -5)) == OrbitSpec(3, 2, 5)
-    assert OrbitSpec.of(DualVector(1, -1, 0)) == OrbitSpec(1, 1, 0)
-    with pytest.raises(ValueError):
-        OrbitSpec(1, 2, 0)
+def _orbit(a, b, c2):
+    """The paper's orbit of (a, b, c) with c = c2/2: every vector made from
+    it by sign flips and by swapping the first two frequencies."""
+    out = set()
+    for x, y in ((a, b), (b, a)):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                for sz in (1, -1):
+                    out.add((Fraction(sx * x), Fraction(sy * y), Fraction(sz * c2, 2)))
+    return sorted(out)
 
 
-def test_orbit_vectors_generic_size():
-    assert len(OrbitSpec(2, 1, 6).vectors()) == 16
-    assert len(OrbitSpec(1, 0, 0).vectors()) == 4
-    assert len(OrbitSpec(0, 0, 2).vectors()) == 2
-    assert OrbitSpec(0, 0, 0).vectors() == (DualVector(0, 0, 0),)
+def _axes(n):
+    """The six axis frequencies (+-n, 0, 0), (0, +-n, 0) and (0, 0, +-n)."""
+    return _orbit(n, 0, 0) + _orbit(0, 0, 2 * n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -214,9 +220,7 @@ def test_exceptional_cases_ledger(n):
     three -- identically for both spaces."""
     expected = 1 if n % 2 else 3
     for space in (TETRA, DIDI):
-        total = orbit_dims(space, OrbitSpec(n, 0, 0)) + orbit_dims(
-            space, OrbitSpec(0, 0, 2 * n)
-        )
+        total = orbit_dims(space, _orbit(n, 0, 0)) + orbit_dims(space, _orbit(0, 0, 2 * n))
         assert total == expected
 
 
@@ -224,24 +228,24 @@ def test_odd_exceptional_case_split():
     # n odd: tetra keeps one mode from (n,0,0) and none from (0,0,n);
     # didi the other way around
     for n in (1, 3, 5):
-        assert orbit_dims(TETRA, OrbitSpec(n, 0, 0)) == 1
-        assert orbit_dims(TETRA, OrbitSpec(0, 0, 2 * n)) == 0
-        assert orbit_dims(DIDI, OrbitSpec(n, 0, 0)) == 0
-        assert orbit_dims(DIDI, OrbitSpec(0, 0, 2 * n)) == 1
+        assert orbit_dims(TETRA, _orbit(n, 0, 0)) == 1
+        assert orbit_dims(TETRA, _orbit(0, 0, 2 * n)) == 0
+        assert orbit_dims(DIDI, _orbit(n, 0, 0)) == 0
+        assert orbit_dims(DIDI, _orbit(0, 0, 2 * n)) == 1
 
 
 def test_even_exceptional_case_split():
     for n in (2, 4, 6):
-        assert orbit_dims(TETRA, OrbitSpec(n, 0, 0)) == 1
-        assert orbit_dims(TETRA, OrbitSpec(0, 0, 2 * n)) == 2
-        assert orbit_dims(DIDI, OrbitSpec(n, 0, 0)) == 2
-        assert orbit_dims(DIDI, OrbitSpec(0, 0, 2 * n)) == 1
+        assert orbit_dims(TETRA, _orbit(n, 0, 0)) == 1
+        assert orbit_dims(TETRA, _orbit(0, 0, 2 * n)) == 2
+        assert orbit_dims(DIDI, _orbit(n, 0, 0)) == 2
+        assert orbit_dims(DIDI, _orbit(0, 0, 2 * n)) == 1
 
 
 def test_half_integer_axis_orbits_die():
     for c2 in (1, 3, 5):
-        assert orbit_dims(TETRA, OrbitSpec(0, 0, c2)) == 0
-        assert orbit_dims(DIDI, OrbitSpec(0, 0, c2)) == 0
+        assert orbit_dims(TETRA, _orbit(0, 0, c2)) == 0
+        assert orbit_dims(DIDI, _orbit(0, 0, c2)) == 0
 
 
 def test_generic_orbits_match_and_have_dim_four():
@@ -252,11 +256,11 @@ def test_generic_orbits_match_and_have_dim_four():
             b += 1
         hi, lo = max(a, b), min(a, b)
         c2 = rng.randint(1, 9)
-        orbit = OrbitSpec(hi, lo, c2)
+        orbit = _orbit(hi, lo, c2)
         d_tetra = orbit_dims(TETRA, orbit)
         d_didi = orbit_dims(DIDI, orbit)
         assert d_tetra == d_didi == 4
-        assert len(orbit.vectors()) == 16
+        assert len(orbit) == 16
 
 
 def test_no_two_zero_parameters_orbits_agree():
@@ -267,13 +271,13 @@ def test_no_two_zero_parameters_orbits_agree():
                 zeros = (hi == 0) + (lo == 0) + (c2 == 0)
                 if zeros >= 2 and (hi, lo, c2) != (0, 0, 0):
                     continue
-                orbit = OrbitSpec(hi, lo, c2)
+                orbit = _orbit(hi, lo, c2)
                 assert orbit_dims(TETRA, orbit) == orbit_dims(DIDI, orbit)
 
 
 def test_orbit_dims_bounds():
-    for orbit in (OrbitSpec(3, 2, 1), OrbitSpec(2, 0, 4), OrbitSpec(0, 0, 6)):
-        size = len(orbit.vectors())
+    for orbit in (_orbit(3, 2, 1), _orbit(2, 0, 4), _orbit(0, 0, 6)):
+        size = len(orbit)
         for space in (TETRA, DIDI):
             d = orbit_dims(space, orbit)
             assert 0 <= d <= size
@@ -282,14 +286,62 @@ def test_orbit_dims_bounds():
 @pytest.mark.parametrize("space", [TETRA, DIDI])
 def test_shell_partitions_into_orbits(space):
     """multiplicity(key) equals the sum of orbit dimensions over the
-    canonical orbits partitioning the shell."""
+    paper's orbits partitioning the shell."""
     Lstar = dual_lattice(translation_lattice(space))
     for key in range(0, 61):
-        orbits = orbits_in_shell(Lstar, key)
-        covered = sorted(v for o in orbits for v in o.vectors() if v.norm_key == key)
         shell_vs = list(shell(Lstar, key))
+        labels = {(*sorted((abs(a), abs(b)), reverse=True), abs(2 * c)) for a, b, c in shell_vs}
+        orbits = [_orbit(*label) for label in labels]
+        covered = sorted(v for o in orbits for v in o)
         assert covered == shell_vs
         assert multiplicity(space, key) == sum(orbit_dims(space, o) for o in orbits)
+
+
+_SPACES = {
+    **{name: preset(name) for name in ("tetra", "didi", "two_tall", "cubical_torocosm")},
+    **{P.name: P for P in (make_dicosm(), make_amphicosm(), make_fcc_torus(),
+                           make_skew_dicosm())},
+    **{P.name: P for P in (conj(preset(name)) for name in ("tetra", "didi")
+                           for conj in (swap_xz, rotate_x))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPACES))
+def test_orbit_dims_of_each_shell_is_its_multiplicity(name):
+    """On every lattice the tables accept, conjugates off the old (a, b, c)
+    grid included, the invariant dimension of a whole shell is the key's
+    multiplicity."""
+    space = _SPACES[name]
+    Lstar = dual_lattice(translation_lattice(space))
+    for key in range(61):
+        assert orbit_dims(space, shell(Lstar, key)) == multiplicity(space, key)
+
+
+@pytest.mark.parametrize("conj", [swap_xz, rotate_x])
+@pytest.mark.parametrize("P", [TETRA, DIDI], ids=["tetra", "didi"])
+def test_conjugate_axis_orbit_dims_match_preset(P, conj):
+    """The conjugate by an orthogonal Q moves each frequency v to Q v, with
+    Q read from the lattice bases: conjugate basis^T = Q basis^T."""
+    C = conj(P)
+    Q = mat_mul(transpose(C.lattice.basis), inv3(transpose(P.lattice.basis)))
+    for n in range(1, 11):
+        moved = [mat_vec(Q, v) for v in _axes(n)]
+        assert orbit_dims(C, moved) == orbit_dims(P, _axes(n))
+
+
+def test_orbit_dims_refuses_what_is_not_a_dimension():
+    """A frequency off the dual lattice, or a set the holonomy does not map
+    to itself, is refused; no frequencies span nothing, and a repeated one
+    counts once."""
+    h = Fraction(1, 2)
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        orbit_dims(TETRA, [(h, 0, 0), (-h, 0, 0), (0, h, 0), (0, -h, 0)])
+    with pytest.raises(ValueError, match="does not map"):
+        orbit_dims(TETRA, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="does not map"):
+        orbit_dims(DIDI, _orbit(1, 0, 0)[:-1])
+    assert orbit_dims(TETRA, []) == orbit_dims(DIDI, iter(())) == 0
+    assert orbit_dims(TETRA, _orbit(1, 0, 0) * 2) == orbit_dims(TETRA, _orbit(1, 0, 0)) == 1
 
 
 # --- spectrum tables ---------------------------------------------------------------
@@ -349,8 +401,11 @@ def test_large_table_matches_spread_keys(name):
 def test_x_long_conjugate_has_preset_table(space):
     conjugate = swap_xz(space)
     Lstar = dual_lattice(translation_lattice(conjugate))
-    with pytest.raises(UnsupportedGeometryError):
-        shell(Lstar, 4)  # off the (a, b, c) grid, yet the table works
+    preset_dual = dual_lattice(translation_lattice(space))
+    for key in (1, 4, 5, 20):
+        # the dual lattice is off the old (a, b, c) grid, and its shells are
+        # the preset's with x and z swapped
+        assert shell(Lstar, key) == tuple(sorted((z, y, x) for x, y, z in shell(preset_dual, key)))
     assert spectrum_table(conjugate, 400) == spectrum_table(space, 400)
 
 
@@ -586,7 +641,7 @@ def test_key_budget_is_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("enumeration started")
 
-    for name in ("_dual_action", "_table", "form_points", "_gram_coordinates"):
+    for name in ("_dual_action", "_table", "form_points", "reduced_gram", "_key_form"):
         monkeypatch.setattr(spectrum_module, name, no_work)
     over = SPECTRAL_KEY_BUDGET + 1
     for call in (
@@ -635,7 +690,8 @@ def test_spectrum_table_normalizes_entries_to_int_pairs():
         assert table.entries == expected
         assert all(type(c) is int for pair in table.entries for c in pair)
         assert all(type(pair) is tuple for pair in table.entries)
-    for bad in (((0, 1, 2),), ((0, 1), (2,)), ((0, 1), "ab")):
+    for bad in (((0, 1, 2),), ((0, 1), (2,)), ((0, 1), "ab"),
+                ((0, 1), (2, 1.9)), ((0, 1), (2.7, 1)), ((0, 1), ("3", "2"))):
         with pytest.raises(ValueError):
             SpectrumTable(5, bad)
 
