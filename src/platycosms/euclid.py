@@ -18,7 +18,10 @@ Validation runs on that form, in Python ints, and so do the derived data
 of the other modules (translation lattice, volume, class tables, the
 dual action of the spectrum).  Fractions appear only at the boundary:
 parsing, the `Isometry` and `Lattice` values handed out, and printed
-output.  No floating point enters any of it.
+output.  Parsing builds each Fraction from ints where the numeral is a
+plain integer or ratio, and a space file's rotations are scaled to
+integers once: the orthogonality check and the integer form both read
+that one scaled matrix.  No floating point enters any of it.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ def _vec3(entries) -> Vec3:
 def _scaled(rows) -> tuple[int, tuple]:
     """(d, d * rows): the least common denominator of rational rows and
     the rows scaled by it to integers."""
-    d = math.lcm(*(c.denominator for row in rows for c in row))
-    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows)
+    d = math.lcm(*[c.denominator for row in rows for c in row])
+    return d, tuple(tuple([c.numerator * (d // c.denominator) for c in row]) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,12 @@ class Isometry:
     def __post_init__(self):
         object.__setattr__(self, "rot", _mat3(self.rot, "rotational part"))
         object.__setattr__(self, "trans", _vec3(self.trans))
-        # with R = d * rot integral: rot^T rot = I and det rot = +-1 in ints
-        d, R = _scaled(self.rot)
-        if mat_mul(transpose(R), R) != ((d * d, 0, 0), (0, d * d, 0), (0, 0, d * d)):
-            raise InvalidPresentationError("rotational part is not orthogonal")
-        if abs(det3(R)) != d ** 3:
-            raise InvalidPresentationError("rotational part has determinant != +-1")
+        _check_orthogonal(self)
+
+    @cached_property
+    def scaled(self) -> tuple[int, IntMat]:
+        """(d, d * rot) with d the least common denominator of rot."""
+        return _scaled(self.rot)
 
     def apply(self, point: Vec3) -> Vec3:
         return vec_add(mat_vec(self.rot, vec(*point)), self.trans)
@@ -130,13 +133,24 @@ class Isometry:
         return self.rot == IDENTITY and self.trans == vec(0, 0, 0)
 
 
+def _check_orthogonal(g: Isometry) -> None:
+    """Refuse g unless its rotational part is exactly orthogonal: with
+    R = d * rot integral, rot^T rot = I and det rot = +-1 in ints."""
+    d, R = g.scaled
+    if mat_mul(transpose(R), R) != ((d * d, 0, 0), (0, d * d, 0), (0, 0, d * d)):
+        raise InvalidPresentationError("rotational part is not orthogonal")
+    if abs(det3(R)) != d ** 3:
+        raise InvalidPresentationError("rotational part has determinant != +-1")
+
+
 IDENTITY_ISOMETRY = Isometry(IDENTITY, (0, 0, 0))
 
 
 def _trusted(rot: Mat3, trans: Vec3) -> Isometry:
     """Isometry from parts already in canonical Fraction form, without
     re-validation: products and transposes of validated orthogonal
-    matrices stay orthogonal with determinant +-1."""
+    matrices stay orthogonal with determinant +-1, and parsed parts are
+    checked by `_check_orthogonal` on the scaled rotation they keep."""
     g = object.__new__(Isometry)
     object.__setattr__(g, "rot", rot)
     object.__setattr__(g, "trans", trans)
@@ -247,17 +261,21 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
     scale, basis, det = lattice.scaled
     # rotations over one common denominator d: rep c is the product of
     # reps a and b when R_a R_b = d R_c
-    scaled = [_scaled(g.rot) for g in reps]
+    scaled = [g.scaled for g in reps]
     d = math.lcm(*(q for q, _ in scaled))
-    cart = [tuple(tuple(c * (d // q) for c in row) for row in R) for q, R in scaled]
+    cart = [R if q == d else tuple(tuple(c * (d // q) for c in row) for row in R)
+            for q, R in scaled]
     if len(set(cart)) != len(cart):
         raise InvalidPresentationError("holonomy rotational parts must be distinct")
+    # rep 0 is the identity, so row and column 0 of every table below are
+    # known without a product
+    m = len(reps)
     index = {tuple(tuple(d * c for c in row) for row in R): i for i, R in enumerate(cart)}
-    product = []
-    for a in cart:
-        row = []
-        for b in cart:
-            c = index.get(mat_mul(a, b))
+    product = [tuple(range(m))]
+    for a, A in enumerate(cart[1:], 1):
+        row = [a]
+        for B in cart[1:]:
+            c = index.get(mat_mul(A, B))
             if c is None:
                 raise InvalidPresentationError(
                     "holonomy rotational parts are not closed under product"
@@ -266,10 +284,11 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
         product.append(tuple(row))
     # on coordinates a rotation R acts as adj(B^T) R B^T / (det d), B = basis;
     # the lattice is preserved when that is integral
-    adj = adj3(transpose(basis))
-    rots = []
-    for R in cart:
-        num = mat_mul(mat_mul(adj, R), transpose(basis))
+    basis_t = transpose(basis)
+    adj = adj3(basis_t)
+    rots = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for R in cart[1:]:
+        num = mat_mul(mat_mul(adj, R), basis_t)
         if any(c % (det * d) for row in num for c in row):
             raise InvalidPresentationError(
                 "holonomy does not preserve the translation lattice"
@@ -284,15 +303,17 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
     g = math.gcd(div, *(scale * c for x in nums for c in x))
     den = div // g
     trans = [tuple(scale * c // g for c in x) for x in nums]
-    for a, row in enumerate(product):
-        for b, c in enumerate(row):
+    for a in range(1, m):
+        for b in range(1, m):
+            c = product[a][b]
             shifted = mat_vec(rots[a], trans[b])
             if any((s + t - u) % den for s, t, u in zip(shifted, trans[a], trans[c])):
                 raise InvalidPresentationError(
                     "coset representatives are not closed modulo the lattice"
                 )
     # (A, x + c/den) fixes a point iff f . (x + c/den) = 0 for every
-    # functional f fixed by A (f A = f), solvable for integral x
+    # functional f fixed by A (f A = f), solvable for integral x; for one
+    # functional f, den f . x takes exactly the multiples of den gcd(f)
     fixed = []
     for A, c in zip(rots[1:], trans[1:]):
         kernel = integer_kernel([[int(i == j) - A[j][i] for j in range(3)] for i in range(3)])
@@ -300,8 +321,13 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
             raise InvalidPresentationError(
                 "a holonomy rep with no +1 eigenvalue always has a fixed point"
             )
-        rows = [[den * x for x in f] for f in kernel]
-        if solve_integer(rows, [-dot(f, c) for f in kernel]) is not None:
+        if len(kernel) == 1:
+            (f,) = kernel
+            fixes = dot(f, c) % (den * math.gcd(*f)) == 0
+        else:
+            rows = [[den * x for x in f] for f in kernel]
+            fixes = solve_integer(rows, [-dot(f, c) for f in kernel]) is not None
+        if fixes:
             raise InvalidPresentationError(
                 "holonomy rep composed with a lattice translation fixes a point"
             )
@@ -478,6 +504,9 @@ def presentation_to_json(P: PlatycosmPresentation) -> dict:
 
 
 _EXPONENT = re.compile(r"[eE]\s*([-+]?\d[\d_]*)")
+# Python's int-from-string digit limit; 0 means no limit, as on Pythons
+# older than the limit itself
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _numeral(entry) -> Fraction:
@@ -486,9 +515,18 @@ def _numeral(entry) -> Fraction:
     int-from-string limit is refused as over the budget before any large
     integer is built."""
     text = str(entry)
-    # 0: no limit, as on Pythons older than the limit itself; read on every
-    # call, since sys.set_int_max_str_digits can change it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # read on every call, since sys.set_int_max_str_digits can change it
+    limit = _digit_limit()
+    # plain ASCII [-]digits or [-]digits/digits within the limit: the value
+    # Fraction(text) reads, from two ints and without its regex
+    num, slash, den = text.partition("/")
+    if (
+        text.isascii()
+        and (num[1:] if num[:1] == "-" else num).isdigit()
+        and (den.isdigit() or not slash)
+        and (len(text) <= limit or not limit)
+    ):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     # a text no longer than the limit has no more digits than it, and only
     # an 'e' or 'E' starts an exponent
     if limit and (len(text) > limit or "e" in text or "E" in text):
@@ -528,7 +566,11 @@ def presentation_from_json(doc: dict) -> PlatycosmPresentation:
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError,
             CutoffBudgetError) as exc:
         raise InvalidPresentationError(f"malformed space document: {exc}") from exc
-    reps = tuple(Isometry(rot, trans) for rot, trans in parts)
+    # the parts are canonical already: each rotation is scaled and checked
+    # once, and its scaled form is what the integer form is lowered from
+    reps = tuple(_trusted(rot, trans) for rot, trans in parts)
+    for g in reps:
+        _check_orthogonal(g)
     return PlatycosmPresentation(str(name), Lattice(basis), reps)
 
 

@@ -25,13 +25,15 @@ translation conjugacy is n together with (y1, y2) reduced modulo the
 Hermite normal form of that sublattice.
 
 Conjugation by a holonomy rep, with or without inversion, sends one
-family to another by an integer affine map of Z^3.  The 2m maps of each
-family form the class-action table, derived once per presentation from
-the holonomy rotations in lattice coordinates and the rep translations'
-lattice coordinates over one common denominator.  A class is an orbit of
-the table on the reduced candidates; its key is the least point of the
-orbit in (family, n, y1, y2) order, and only that point becomes an
-`Isometry` witness.  Imprimitivity is decided in the same coordinates.
+family to another by an integer affine map of Z^3.  Reps of one coset of
+the family's rotation group give one map up to the reduction, so a family
+of rotation order o has 2m/o distinct maps; they form the class-action
+table, derived once per presentation from the holonomy rotations in
+lattice coordinates and the rep translations' lattice coordinates over
+one common denominator.  A class is an orbit of the table on the
+reduced candidates; its key is the least point of the orbit in
+(family, n, y1, y2) order, and only that point becomes an `Isometry`
+witness.  Imprimitivity is decided in the same coordinates.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .errors import (
@@ -84,12 +87,12 @@ __all__ = [
 # Python 3.11, one core).
 CLASS_CANDIDATE_BUDGET = 100_000
 
-# twist angle (over pi) from the rotation trace: cos(theta) = (tr - 1)/2
-_TWIST_FROM_COS = {
-    Fraction(-1): Fraction(1),
-    Fraction(-1, 2): Fraction(2, 3),
-    Fraction(0): Fraction(1, 2),
-    Fraction(1, 2): Fraction(1, 3),
+# twist angle (over pi) from the rotation trace tr = 1 + 2 cos(theta)
+_TWIST_FROM_TRACE = {
+    -1: Fraction(1),
+    0: Fraction(2, 3),
+    1: Fraction(1, 2),
+    2: Fraction(1, 3),
 }
 
 # cylinder weight factor 1/sin^2(theta/2), exact for the half- and
@@ -159,15 +162,15 @@ def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
         )
     # the fixed functional f pairs lattice coordinates with the dual vector
     # basis^-1 f, which the rotation fixes: the primitive integer vector along
-    # adj(basis) f, first nonzero entry positive, is the axis
-    axis = mat_vec(adj3(form.basis), fixed[0])
+    # adj(basis) f = f . adj(basis^T), first nonzero entry positive, is the axis
+    axis = mat_vec(transpose(form.adj), fixed[0])
     content = math.gcd(*axis) * (1 if next(c for c in axis if c) > 0 else -1)
     axis = tuple(c // content for c in axis)
     norm = dot(axis, axis)
     axis_len = math.isqrt(norm)
     if axis_len * axis_len != norm:
         raise UnsupportedGeometryError("screw axis has irrational length scale")
-    twist = _TWIST_FROM_COS.get(Fraction(A[0][0] + A[1][1] + A[2][2] - 1, 2))
+    twist = _TWIST_FROM_TRACE.get(A[0][0] + A[1][1] + A[2][2])
     if twist is None:
         raise UnsupportedGeometryError("twist is not a rational multiple of pi")
 
@@ -222,8 +225,9 @@ class _ClassTable:
     # Cartesian translation = cartesian . X / cartesian_den
     cartesian: IntMat
     cartesian_den: int
-    # per family, 2m entries (image family, T row-major, e), 13 ints: the
-    # conjugate by one rep of the point z, or of its inverse, is T z + e
+    # per family of rotation order o, 2m/o entries (image family, T
+    # row-major, e), 13 ints: the conjugate by one rep of the point z, or
+    # of its inverse, is T z + e, one rep per coset of the family's <A>
     actions: tuple[tuple[tuple, ...], ...]
     # per family r of rotation order o: the family index of A_r^j (None for
     # the identity) for j < o, and the power sums I + ... + A_r^(j-1), j <= o
@@ -236,36 +240,63 @@ def _actions(fams, form: IntegerForm) -> tuple[tuple[tuple, ...], ...]:
     a translation (c those of the rep, x integral), inverting sends
     (A, X) to (A^-1, -A^-1 X) and conjugating by the rep (A_h, c_h) sends
     (A, X) to (A_h A A_h^-1, A_h X + c_h - A_h A A_h^-1 c_h); both are
-    affine in x, and the offset from the image rep is integral."""
+    affine in x, and the offset from the image rep is integral.
+
+    Conjugating a point of a family by the family's own rep is a
+    conjugation by a lattice translation, which the reduction modulo
+    (I - B)Lambda forgets: the reps of one coset h<A> give one reduced
+    map, so the table keeps the least rep of each coset, for the point
+    and for its inverse.  The inverse family has the same <A>, and the
+    conjugate of an inverse composes the inverse family's conjugation
+    entry with the family's inversion map, two affine maps of Z^3."""
     rots, trans, den = form.rots, form.trans, form.den
     product, inverse = form.product, form.inverse
+
+    def affine(rj, linear, c_h, ri):
+        # (image family, T, e) of the map sending the point x of family rj
+        # to the point of family ri whose lattice coordinates are
+        # linear X + c_h - A_ri c_h
+        shift = [
+            a + b - c - d
+            for a, b, c, d in zip(
+                mat_vec(linear, trans[rj]), c_h, mat_vec(rots[ri], c_h), trans[ri]
+            )
+        ]
+        if any(s % den for s in shift):
+            raise InvalidPresentationError(
+                "coset representatives are not closed modulo the lattice"
+            )
+        image = fams[ri - 1]
+        return (ri - 1, mat_mul(image.basis_inv, mat_mul(linear, fams[rj - 1].basis)),
+                mat_vec(image.basis_inv, [s // den for s in shift]))
+
+    conjugates = []
+    for rj in range(1, len(rots)):
+        # rep 0, the identity, heads the first coset and conjugates by the
+        # identity map
+        row = [(rj - 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))]
+        covered = set()
+        for h in range(len(rots)):
+            if h in covered:
+                continue
+            c = h
+            while c not in covered:
+                covered.add(c)
+                c = product[c][rj]
+            if h:
+                row.append(affine(rj, rots[h], trans[h], product[product[h][rj]][inverse[h]]))
+        conjugates.append(row)
     table = []
-    for j, fam in enumerate(fams):
-        rj = j + 1
+    for rj, row in enumerate(conjugates, 1):
+        src = inverse[rj]
+        _, T_inv, e_inv = affine(rj, tuple(tuple(-c for c in r) for r in rots[src]),
+                                 trans[0], src)
         entries = []
-        for h, (A_h, c_h) in enumerate(zip(rots, trans)):
-            for invert in (False, True):
-                if invert:
-                    src = inverse[rj]
-                    linear = tuple(tuple(-c for c in row) for row in mat_mul(A_h, rots[src]))
-                else:
-                    src = rj
-                    linear = A_h
-                ri = product[product[h][src]][inverse[h]]
-                shift = [
-                    a + b - c - d
-                    for a, b, c, d in zip(
-                        mat_vec(linear, trans[rj]), c_h, mat_vec(rots[ri], c_h), trans[ri]
-                    )
-                ]
-                if any(s % den for s in shift):
-                    raise InvalidPresentationError(
-                        "coset representatives are not closed modulo the lattice"
-                    )
-                image = fams[ri - 1]
-                T = mat_mul(image.basis_inv, mat_mul(linear, fam.basis))
-                e = mat_vec(image.basis_inv, [s // den for s in shift])
-                entries.append((ri - 1, *T[0], *T[1], *T[2], *e))
+        for (i, T, e), (k, T_c, e_c) in zip(row, conjugates[src - 1]):
+            entries.append((i, *T[0], *T[1], *T[2], *e))
+            T = mat_mul(T_c, T_inv)
+            e = [a + b for a, b in zip(mat_vec(T_c, e_inv), e_c)]
+            entries.append((k, *T[0], *T[1], *T[2], *e))
         table.append(tuple(entries))
     return tuple(table)
 
@@ -278,8 +309,7 @@ def _powers(form: IntegerForm, r: int) -> tuple[tuple, tuple]:
     p = 0
     while True:
         families.append(p - 1 if p else None)
-        sums.append(tuple(tuple(a + b for a, b in zip(ra, rb))
-                          for ra, rb in zip(sums[-1], form.rots[p])))
+        sums.append(tuple(tuple(map(add, ra, rb)) for ra, rb in zip(sums[-1], form.rots[p])))
         p = form.product[p][r]
         if p == 0:
             return tuple(families), tuple(sums)

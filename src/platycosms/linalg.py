@@ -163,9 +163,12 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     m = [list(r) for r in rows if any(r)]
     if not m:
         return []
-    n = len(m)
+    n, width = len(m), len(m[0])
     row = 0
-    for col in range(len(m[0])):
+    for col in range(width):
+        # rows from `row` on are zero left of `col`, so the pivot row is
+        # too, and every step changes only the columns from `col` on
+        tail = range(col, width)
         # clear the column below `row` by gcd steps: the least nonzero
         # entry, made positive, is the pivot and reduces the others
         while True:
@@ -176,24 +179,29 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                     piv, least = i, abs(c)
             if piv is None:
                 break
-            p = m[piv] if m[piv][col] > 0 else [-a for a in m[piv]]
+            p = m[piv]
+            if p[col] < 0:
+                for k in tail:
+                    p[k] = -p[k]
             m[piv] = m[row]
             m[row] = p
             done = True
-            for i in range(row + 1, n):
-                c = m[i][col]
+            for r in m[row + 1:]:
+                c = r[col]
                 if c:
                     q = c // least
-                    r = m[i] = [a - q * b for a, b in zip(m[i], p)]
+                    for k in tail:
+                        r[k] -= q * p[k]
                     if r[col]:
                         done = False
             if done:
                 break
         if piv is not None:
-            for i in range(row):
-                q = m[i][col] // least
+            for r in m[:row]:
+                q = r[col] // least
                 if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], p)]
+                    for k in tail:
+                        r[k] -= q * p[k]
             row += 1
             if row == n:
                 break

@@ -75,12 +75,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from math import isqrt, prod
-from operator import floordiv, ge, index
+from operator import floordiv, ge, index, ne
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -165,22 +166,29 @@ class SpectrumTable:
     def multiplicity_of(self, key: int) -> int:
         if key < 0 or key > self.max_key:
             raise ValueError(f"key {key} outside enumerated range 0..{self.max_key}")
-        return self.as_dict().get(key, 0)
+        # (key,) sorts before every pair (key, m): a bisection of the sorted
+        # entries finds the one with this key, if there is one
+        entries = self.entries
+        i = bisect_left(entries, (key,))
+        return entries[i][1] if i < len(entries) and entries[i][0] == key else 0
 
     def first_difference(self, other: "SpectrumTable"):
         """Smallest key (up to the shared max_key) where the tables differ,
         as (key, self_mult, other_mult); None if they agree."""
-        if self.entries == other.entries:
+        a, b = self.entries, other.entries
+        # below the first index where the sorted entries differ both tables
+        # agree; there the lesser key is missing from the other table (its
+        # stored multiplicities are positive) or carries another one
+        i = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
+        heads = a[i:i + 1] + b[i:i + 1]
+        if not heads:
             return None
-        bound = min(self.max_key, other.max_key)
-        d1, d2 = self.as_dict(), other.as_dict()
-        for key in sorted(set(d1) | set(d2)):
-            if key > bound:
-                break
-            m1, m2 = d1.get(key, 0), d2.get(key, 0)
-            if m1 != m2:
-                return key, m1, m2
-        return None
+        key = min(k for k, _ in heads)
+        if key > min(self.max_key, other.max_key):
+            return None
+        m1 = a[i][1] if i < len(a) and a[i][0] == key else 0
+        m2 = b[i][1] if i < len(b) and b[i][0] == key else 0
+        return key, m1, m2
 
     def to_json_dict(self) -> dict:
         return {"max_key": self.max_key, "entries": [list(e) for e in self.entries]}

@@ -1,7 +1,10 @@
 """Shared test fixtures."""
 
+import importlib.util
+import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,17 @@ def presentations_of(P: PlatycosmPresentation):
         PlatycosmPresentation(P.name, lat, shifted),
         PlatycosmPresentation(P.name, rebased, P.holonomy_reps),
     ], swap_xz(P)
+
+
+def variant_document(base: str, kind: int, seed: int, name: str) -> dict:
+    """The space document of a variant of `base` from the benchmark's
+    generator (`perfbench/variants.py`), which imports nothing from the
+    package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "variants.py"
+    spec = importlib.util.spec_from_file_location("perfbench_variants", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.variant(base, kind, name, random.Random(seed))
 
 
 def clear_spectrum_memos() -> None:

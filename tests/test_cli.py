@@ -8,7 +8,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from conftest import swap_xz
+from conftest import swap_xz, variant_document
+from platycosms import euclid, geodesics, linalg
 from platycosms.cli import main
 from platycosms.euclid import presentation_to_json, preset
 
@@ -95,6 +96,42 @@ def test_balance_imbalance_exits_one(capsys):
                        "--max-length", "1/2")
     assert code == 1
     assert json.loads(out)["balanced"] is False
+
+
+def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
+    """A work guard with no timing: one `balance` op to length 1/2 on two
+    fresh space files, a Tetra and a Didi variant of the benchmark with 4
+    reps each.  Per file: one orthogonality check per rep (4); one
+    rational-to-integer scaling per parsed matrix: the lattice, the 4
+    rotations and the translations (6); no rep re-validated by
+    `Isometry(...)`; 9 Hermite reductions: one kernel per twisted rep while
+    lowering, whose fixed-point test is a gcd, and a basis and a
+    conjugation lattice per twist family.  No imprimitivity solve runs at
+    length 1/2, where no class can be a proper power."""
+    counts = {"orthogonal": 0, "scaled": 0, "validated": 0, "hnf": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(euclid, "_check_orthogonal", counting("orthogonal", euclid._check_orthogonal))
+    monkeypatch.setattr(euclid, "_scaled", counting("scaled", euclid._scaled))
+    monkeypatch.setattr(euclid.Isometry, "__post_init__",
+                        counting("validated", euclid.Isometry.__post_init__))
+    hnf = counting("hnf", linalg.hnf_rows)
+    for module in (euclid, linalg, geodesics):
+        monkeypatch.setattr(module, "hnf_rows", hnf)
+    paths = []
+    for base, kind, seed in (("tetra", 15, 3), ("didi", 13, 4)):
+        path = tmp_path / f"{base}.json"
+        path.write_text(json.dumps(variant_document(base, kind, seed, f"work-guard-{base}")))
+        paths.append(str(path))
+    code, out, _ = run(capsys, "balance", "--left-file", paths[0], "--right-file", paths[1],
+                       "--max-length", "1/2")
+    assert code == 0 and json.loads(out)["balanced"] is True
+    assert counts == {"orthogonal": 8, "scaled": 12, "validated": 0, "hnf": 18}
 
 
 # --- spectrum ---------------------------------------------------------------------

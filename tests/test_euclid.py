@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import presentation_oracle
 from conftest import (
@@ -29,6 +30,7 @@ from platycosms.euclid import (
     betti_one,
     compose,
     inverse,
+    _numeral,
     presentation_from_json,
     presentation_to_json,
     preset,
@@ -341,6 +343,26 @@ def test_presentation_with_fixed_point_rejected():
         PlatycosmPresentation("bad", TWO_TALL_LATTICE, (IDENTITY_ISOMETRY, bad))
 
 
+@pytest.mark.parametrize("trans, free", [
+    ((Fraction(1, 2), 0, 0), True),
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), True),
+    ((0, 0, Fraction(1, 2)), False),
+    ((1, 0, 0), False),
+])
+def test_reflection_freeness_matches_fraction_oracle(trans, free):
+    """A reflection fixes a plane of functionals, so its freeness is an
+    integer solve on two rows (a one-row kernel is a gcd test): the
+    glides along x or the xy diagonal act freely, while a shift across
+    the mirror or by a lattice vector leaves fixed points."""
+    mirror = Isometry(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), vec(*trans))
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    reps = [(IDENTITY, (0, 0, 0)), (mirror.rot, mirror.trans)]
+    verdict = _integer_verdict(rows, reps)
+    assert verdict == presentation_oracle.verdict(rows, reps)
+    assert verdict == (None if free else "holonomy rep composed with a lattice translation "
+                       "fixes a point")
+
+
 def test_presentation_requires_rotation_closure():
     with pytest.raises(InvalidPresentationError, match="closed under product"):
         PlatycosmPresentation(
@@ -524,3 +546,43 @@ def test_numerals_within_the_limit_are_read():
     doc["lattice"][2][2] = "2e0"
     doc["reps"][1]["trans"][2] = "5e-1"
     assert presentation_from_json(doc) == preset("tetra")
+
+
+def _same_reading(entry):
+    """`_numeral` reads entry as Fraction(str(entry)) does: the same value,
+    or an exception of the same class."""
+    try:
+        want = Fraction(str(entry))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _numeral(entry)
+        return
+    got = _numeral(entry)
+    assert type(got) is Fraction and got == want
+
+
+# the plain [-]digits[/digits] texts that take the two-int path, next to
+# texts that look like them and must not: signs, spaces, underscores,
+# non-ASCII digits, decimals, exponents, a bad denominator, a bool
+NUMERAL_CORPUS = [
+    "0", "-0", "007", "-12/08", "3/8", "+3", " 3", "3 ", "1_000", "1/0", "-1/0", "0/0",
+    "1/-2", "1/+2", "1/", "/2", "-", "--1", "", "٣", "²", "1/٣", "0.5", "1e3", "1/2/3",
+    True, False, 0, -7, 10**40,
+]
+
+
+@pytest.mark.parametrize("entry", NUMERAL_CORPUS, ids=repr)
+def test_numeral_matches_fraction_on_corpus(entry):
+    _same_reading(entry)
+
+
+# no 'e' in the random texts: an exponent past the digit limit is refused
+# as over the budget, which the tests above check
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.from_regex(r"-?[0-9]{1,12}(/[0-9]{1,12})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._ ٣²", max_size=12),
+))
+def test_numeral_matches_fraction(entry):
+    _same_reading(entry)

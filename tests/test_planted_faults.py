@@ -1,28 +1,40 @@
 """Planted faults: each breaks one step of a spectrum table and must end in
-CharacterSumError at a stated key.
+CharacterSumError at a stated key, or one step of the class census and
+must fail a stated oracle at a stated length.
 
-A fault is planted for one test only, by monkeypatching the `spectrum`
-module (a wrapper, or a copy of one function compiled from its source with
-one expression changed); the package source is never edited.  Each test
-also records which check caught the fault: the one ascending pass over the
-character sums (`pass`), or a per-key `multiplicity` probe at 0, 1 or the
-largest nonempty shell at or below K//2 or K (`probe`), which fails either
-inside its own sum or by disagreeing with the table.  Every test starts
-with empty comparison memos, so a fresh name is a fresh assembly.
+A fault is planted for one test only, by monkeypatching the `spectrum` or
+`geodesics` module (a wrapper, or a copy of one function compiled from its
+source with one expression changed); the package source is never edited.
+Each spectrum test also records which check caught the fault: the one
+ascending pass over the character sums (`pass`), or a per-key
+`multiplicity` probe at 0, 1 or the largest nonempty shell at or below
+K//2 or K (`probe`), which fails either inside its own sum or by
+disagreeing with the table.  Every test starts with empty comparison
+memos, so a fresh name is a fresh assembly.
+
+The census has three oracles: the census at length 1/2 (Tetra's 2
+quarter twisters, Didi's 4 half twisters), the weight rule l * w_l = 2 of
+the balance table at every length l not in 2Z, and the element-by-element
+classes of `tests/class_oracle.py`.
 """
 
 import inspect
 import re
+from fractions import Fraction
 
 import pytest
 
+import class_oracle
 from conftest import clear_spectrum_memos
+from platycosms import geodesics as geodesics_module
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import CharacterSumError
 from platycosms.euclid import PlatycosmPresentation, preset
+from platycosms.geodesics import _class_census, balance_table, twisted_classes
 from platycosms.spectrum import spectrum_table
 
 TETRA = preset("tetra")
+HALF = Fraction(1, 2)
 
 
 def _fresh(name: str) -> PlatycosmPresentation:
@@ -32,12 +44,13 @@ def _fresh(name: str) -> PlatycosmPresentation:
 
 def _mutant(func, old: str, new: str):
     """`func` compiled from its own source with the expression `old`, which
-    must occur exactly once, replaced by `new`.  It runs on a copy of the
+    must occur exactly once, replaced by `new`.  It runs on a copy of its
     module's globals, so the module itself is left as it was."""
     source = inspect.getsource(func)
     assert source.count(old) == 1, f"{old!r} is not one expression of {func.__name__}"
-    namespace = dict(vars(spectrum_module))
-    exec(compile(source.replace(old, new), spectrum_module.__file__, "exec"), namespace)
+    module = inspect.getmodule(func)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[func.__name__]
 
 
@@ -119,3 +132,74 @@ def test_narrow_slot_width_is_caught_by_a_probe(monkeypatch):
     monkeypatch.setattr(spectrum_module, "prod", lambda factors: 1)
     assert spectrum_table(_fresh("narrow-799"), 799) == exact
     assert _caught(_fresh("narrow-1076"), 1076) == ("probe", 1076)
+
+
+# --- class census -----------------------------------------------------------
+
+
+def _census_checks(space, length: Fraction):
+    """What each census oracle reads to `length`: the signatures of the
+    census at length 1/2; l * w_l at each row of the balance table; and
+    the classes of `class_oracle` that the census misses or meets twice,
+    with the witness lengths it misreports."""
+    at_half = [(c.length, c.twist_over_pi, c.imprimitivity, c.count)
+               for c in twisted_classes(space, HALF)]
+    weights = {p.length: p.length * p.left.total for p in balance_table(space, space, length)}
+    oracle = {key: sig for key, (sig, _) in class_oracle.census(space, length).items()}
+    found, twice, misread = {}, 0, []
+    for sig, witness in _class_census(space, length):
+        key, _ = class_oracle.unoriented_class(space, witness)
+        twice += key in found
+        found[key] = sig
+        if sig[0] != class_oracle.length(witness):
+            misread.append((sig[0], class_oracle.length(witness)))
+    return at_half, weights, len(oracle.keys() - found.keys()), twice, misread
+
+
+def test_census_oracles_hold_on_tetra():
+    at_half, weights, missed, twice, misread = _census_checks(_fresh("census"), Fraction(1))
+    assert at_half == [(HALF, HALF, 1, 2)]
+    assert weights == {HALF: 2, Fraction(1): 2}
+    assert (missed, twice, misread) == (0, 0, [])
+
+
+def test_wrong_step_vector_is_caught_by_the_census_at_half(monkeypatch):
+    """Each family's step vector negated: the family walks its axis against
+    its screw pair (a, g), so the point at n has axis value a - n*g while
+    its length is read from |a + n*g|.  Tetra's quarter- and
+    three-quarter-turn families, read at n in {0, -1} for length 1/2, reach
+    elements of true length 1/2 and 7/2.  The census at 1/2 counts 4
+    quarter twisters, not 2; the weight rule at l = 1/2 reads
+    1/2 * 8 = 4, not 2; and the class oracle sees two witnesses of length
+    7/2 reported at 1/2."""
+    monkeypatch.setattr(geodesics_module, "_build_family", _mutant(
+        geodesics_module._build_family, "basis = tuple(zip(*U))",
+        "basis = tuple(zip([-c for c in U[0]], *U[1:]))"))
+    at_half, weights, _, _, misread = _census_checks(_fresh("step"), HALF)
+    assert at_half == [(HALF, HALF, 1, 4)]
+    assert weights == {HALF: 4}
+    assert misread == [(HALF, Fraction(7, 2))] * 2
+
+
+def test_wrong_inverted_entry_is_caught_at_length_one(monkeypatch):
+    """One entry of the class-action table moved: in Tetra's half-turn
+    family (family 1, rotation order 2, so 2m/2 = 4 entries), the conjugate
+    by rep 1 of a point's inverse lands one step further along the axis.
+    The half twister at length 1 then never marks that conjugate, which is
+    counted again as a class of its own.  No element of length 1/2 is in
+    the family, so the census at 1/2 still passes; at l = 1 the weight rule
+    reads 3, not 2, and the class oracle meets one class twice."""
+    real = geodesics_module._actions
+
+    def moved(fams, form):
+        table = [list(row) for row in real(fams, form)]
+        entry = list(table[1][3])  # (image, T row-major, e): e[0] is the axis step
+        entry[10] += 1
+        table[1][3] = tuple(entry)
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(geodesics_module, "_actions", moved)
+    at_half, weights, missed, twice, misread = _census_checks(_fresh("inverted"), Fraction(1))
+    assert at_half == [(HALF, HALF, 1, 2)]
+    assert weights == {HALF: 2, Fraction(1): 3}
+    assert (missed, twice, misread) == (0, 1, [])

@@ -2,17 +2,15 @@
 
 import cmath
 import importlib
-import importlib.util
 import pkgutil
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from conftest import (
     clear_spectrum_memos, make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm,
-    make_tricosm, rotate_x, same_lattice, swap_xz,
+    make_tricosm, rotate_x, same_lattice, swap_xz, variant_document,
 )
 import platycosms
 from platycosms import linalg, selberg
@@ -460,19 +458,8 @@ def test_table_probes_visit_half_shells(monkeypatch):
     assert 0 < len(calls) <= 389
 
 
-def _variants():
-    """The benchmark's variant generator (`perfbench/variants.py`)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "variants.py"
-    spec = importlib.util.spec_from_file_location("perfbench_variants", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _variant(base: str, kind: int, seed: int) -> PlatycosmPresentation:
-    variants = _variants()
-    doc = variants.variant(base, kind, f"{base}-{kind}-{seed}", random.Random(seed))
-    return presentation_from_json(doc)
+    return presentation_from_json(variant_document(base, kind, seed, f"{base}-{kind}-{seed}"))
 
 
 def _amphidicosm() -> PlatycosmPresentation:
@@ -741,6 +728,41 @@ def test_first_difference_cases():
     assert t.first_difference(SpectrumTable(4, ((0, 1), (3, 2)))) is None
     assert SpectrumTable(5, ((0, 1), (5, 1))).first_difference(
         SpectrumTable(9, ((0, 1),))) == (5, 1, 0)
+
+
+def _dict_first_difference(t1, t2):
+    """first_difference read from the two dicts of entries, key by key."""
+    d1, d2 = t1.as_dict(), t2.as_dict()
+    for key in sorted(set(d1) | set(d2)):
+        if key > min(t1.max_key, t2.max_key):
+            break
+        if d1.get(key, 0) != d2.get(key, 0):
+            return key, d1.get(key, 0), d2.get(key, 0)
+    return None
+
+
+def test_table_lookups_match_dict_semantics():
+    """multiplicity_of bisects the sorted entries and first_difference walks
+    them: at every key up to max_key they read what the dict of the entries
+    reads, and keys outside 0..max_key are refused as before.  Small random
+    tables differ from each other in every way: a missing key, another
+    multiplicity, another max_key, or nothing."""
+    rng = random.Random(19)
+    tables = [spectrum_table(P, 300) for P in (TETRA, DIDI, preset("two_tall"))]
+    for _ in range(80):
+        max_key = rng.randint(0, 8)
+        keys = sorted(rng.sample(range(1, max_key + 1), rng.randint(0, max_key)))
+        tables.append(SpectrumTable(max_key, ((0, 1),) + tuple((k, rng.randint(1, 2)) for k in keys)))
+    for table in tables:
+        entries = table.as_dict()
+        assert [table.multiplicity_of(k) for k in range(table.max_key + 1)] == [
+            entries.get(k, 0) for k in range(table.max_key + 1)]
+        for key in (-1, table.max_key + 1):
+            with pytest.raises(ValueError, match="outside enumerated range"):
+                table.multiplicity_of(key)
+    for t1 in tables:
+        for t2 in tables:
+            assert t1.first_difference(t2) == _dict_first_difference(t1, t2)
 
 
 @pytest.mark.parametrize("name", ["tetra", "didi", "two_tall", "cubical_torocosm"])
