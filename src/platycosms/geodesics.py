@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Optional
 
@@ -229,10 +229,16 @@ class _ClassTable:
     # row-major, e), 13 ints: the conjugate by one rep of the point z, or
     # of its inverse, is T z + e, one rep per coset of the family's <A>
     actions: tuple[tuple[tuple, ...], ...]
-    # per family r of rotation order o: the family index of A_r^j (None for
-    # the identity) for j < o, and the power sums I + ... + A_r^(j-1), j <= o
-    roots: tuple[tuple[tuple, tuple], ...]
     shortest: Optional[Fraction]  # least length over all families
+    form: IntegerForm
+
+    @cached_property
+    def roots(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per family r of rotation order o: the family index of A_r^j (None
+        for the identity) for j < o, and the power sums I + ... + A_r^(j-1),
+        j <= o.  Only an imprimitivity solve reads them, so they are built
+        on its first call, in the table's own cache entry."""
+        return tuple(_powers(self.form, r) for r in range(1, len(self.form.rots)))
 
 
 def _actions(fams, form: IntegerForm) -> tuple[tuple[tuple, ...], ...]:
@@ -326,10 +332,10 @@ def _class_table(P: PlatycosmPresentation) -> _ClassTable:
         cartesian=transpose(form.basis),
         cartesian_den=form.den * form.scale,
         actions=_actions(fams, form),
-        roots=tuple(_powers(form, r) for r in range(1, len(form.rots))),
         # |a + n*g| is least at a mod g or at -a mod g
         shortest=min((min(f.screw[0] % f.screw[1], -f.screw[0] % f.screw[1]) * f.unit
                       for f in fams), default=None),
+        form=form,
     )
 
 

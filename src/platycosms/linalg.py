@@ -340,35 +340,52 @@ def half_shell(H, key: int) -> list[tuple[int, int, int]]:
     and q = H_22, y_2 is a root of (q y_2 + lin)^2 = disc, where disc is
     q (key - H_00 a^2 - 2 H_01 a b - H_11 b^2) + lin^2.  Along a row disc
     is a quadratic in b, so a row's values are running sums of an
-    arithmetic sequence; each head then costs one integer square root,
-    all in builtins, and yields points only when disc is a perfect square
-    s^2 and q divides -lin +- s.
+    arithmetic sequence.  Every disc lies in 0..q key, so each head costs
+    one lookup in a table of the squares up to q key, all in builtins;
+    when the shell has fewer heads than the table has squares, each head
+    takes an integer square root instead.  A head yields points only when
+    disc is a perfect square s^2 and q divides -lin +- s.
     """
     points = []
     if not key:
         return points
     (h00, h01, h02), (_, h11, h12), (_, _, q) = H
-    root = isqrt
     det = det3(H)
     # disc = e0 + e1 b - C b^2 on row a, and within the row bound
     # (C b + B a)^2 <= q (C key - det a^2) it is nonnegative, since
-    # C disc = q (C key - det a^2) - (C b + B a)^2
+    # C disc = q (C key - det a^2) - (C b + B a)^2 <= q C key: every disc
+    # lies in 0..q key, where a table of the squares up to q key holds each
+    # root
     B, C = q * h01 - h02 * h12, q * h11 - h12 * h12
-    for a in range(root(key * C // det) + 1):
-        t = root(q * (C * key - det * a * a))
+    rows = []
+    for a in range(isqrt(key * C // det) + 1):
+        t = isqrt(q * (C * key - det * a * a))
         lo = -((t + B * a) // C) if a else 0
         n = (t - B * a) // C + 1 - lo
-        if n < 1:
-            continue
+        if n > 0:
+            rows.append((a, lo, n))
+    # a square costs the table about 115 ns to hold and saves a head about
+    # 100 ns of root, product and compare, so the table is built only for a
+    # shell with more heads than squares; a key near the least ones of a
+    # fine form, whose q key is large, builds none
+    top = isqrt(q * key)
+    squares = {s * s: s for s in range(top + 1)} if top < sum(n for _, _, n in rows) else None
+    for a, lo, n in rows:
         lin_a = h02 * a
         e0 = lin_a * lin_a + q * (key - h00 * a * a)
         e1 = 2 * (lin_a * h12 - q * h01 * a)
         step = e1 - C * (2 * lo + 1)
         discs = list(accumulate(range(step, step - 2 * C * (n - 1), -2 * C),
                                 initial=e0 + (e1 - C * lo) * lo))
-        roots = list(map(root, discs))
-        for b in compress(range(lo, lo + n), map(eq, map(mul, roots, roots), discs)):
-            s, lin = roots[b - lo], lin_a + h12 * b
+        if squares is None:
+            roots = list(map(isqrt, discs))
+            hits = map(eq, map(mul, roots, roots), discs)
+        else:
+            hits = map(squares.__contains__, discs)
+        for i in compress(range(n), hits):
+            s = roots[i] if squares is None else squares[discs[i]]
+            b = lo + i
+            lin = lin_a + h12 * b
             if not (s - lin) % q:
                 points.append((a, b, (s - lin) // q))
             if s and (a or b) and not (s + lin) % q:

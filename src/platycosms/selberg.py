@@ -29,6 +29,8 @@ are implementation choices, documented inline:
               are at most twice the translation-conjugacy index per
               holonomy family.  Both tails are summed with an explicit
               geometric-ratio majorant; the radius S makes each < eps/4.
+              The lattice points within S are enumerated up to a work
+              bound, LATTICE_POINT_BUDGET.
 
 Exact arithmetic lives upstream (spectra, geodesic data); this module is
 the only floating-point consumer.
@@ -40,9 +42,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
-from .errors import CutoffBudgetError
+from .errors import CutoffBudgetError, abridged
 from .euclid import Lattice, PlatycosmPresentation, preset, translation_lattice, volume
 from .geodesics import _class_table, twist_factor, twisted_classes, weight
 from .linalg import dot, form_points, fraction_to_str, reduced_gram
@@ -67,6 +70,18 @@ __all__ = [
 ]
 
 GEOMETRIC_RADIUS_BUDGET = 64.0
+
+# Work bound of one lattice enumeration (`lattice_count`, and so
+# `counting_function`, and `geometric_heat_trace`): the number of lattice
+# points visited, counted on the enumeration itself, since the count in a
+# ball grows as 1/covolume and a space file may give a lattice of any
+# fineness.  Every preset stays under it to the whole geometric radius
+# budget: the cubical torus, the finest, has 1,097,917 points to radius 64
+# (reached by `heat-trace --space cubical_torocosm --t 34`), Tetra, Didi
+# and the two-tall torus 548,685.  The tests, the golden CLI cases and the
+# benchmark reach at most that 1,097,917.  A refused heat trace or count
+# stops after about 0.5 s (Python 3.11, one core of a 2-vCPU machine).
+LATTICE_POINT_BUDGET = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -133,12 +148,29 @@ def cylinder_heat_integral(length, twist_over_pi, t: float, upper=None) -> float
 
 
 def lattice_count(L: Lattice, s) -> int:
-    """Exact number of lattice vectors of Euclidean norm <= s."""
+    """Exact number of lattice vectors of Euclidean norm <= s; refused past
+    LATTICE_POINT_BUDGET = 1,200,000 of them (the presets reach 1,097,917
+    to the geometric radius budget 64)."""
     s = Fraction(s)
     if s < 0:
         raise ValueError("radius must be nonnegative")
+    return _on_lattice_points(L, s, lambda points, den: sum(1 for _ in points))
+
+
+def _on_lattice_points(L: Lattice, radius: Fraction, consume):
+    """consume(points, den) on the vectors v of L with |v| <= radius, as
+    (y, n) with |v|^2 = n / den.  The enumeration is cut after
+    LATTICE_POINT_BUDGET points, and refused (`CutoffBudgetError`) when
+    it has more."""
     _, gram, den = reduced_gram(L.basis)
-    return sum(1 for _ in form_points(gram, 0, math.floor(s * s * den)))
+    points = form_points(gram, 0, math.floor(radius * radius * den))
+    result = consume(islice(points, LATTICE_POINT_BUDGET), den)
+    if next(points, None) is not None:
+        raise CutoffBudgetError(
+            f"lattice enumeration to radius {abridged(radius)} visits more than "
+            f"{LATTICE_POINT_BUDGET} points"
+        )
+    return result
 
 
 # --- certified tail machinery -------------------------------------------------
@@ -303,11 +335,8 @@ def geometric_heat_trace(P: PlatycosmPresentation, cfg: HeatTraceConfig) -> Heat
     t = cfg.t
     prefactor = _kernel_prefactor(vol, t)
     # |lam|^2 = n / den exactly, and int / int is correctly rounded
-    _, gram, den = reduced_gram(lat.basis)
-    jump = prefactor * math.fsum(
-        math.exp(-n / den / (4 * t))
-        for _, n in form_points(gram, 0, math.floor(S_frac * S_frac * den))
-    )
+    jump = prefactor * _on_lattice_points(lat, S_frac, lambda points, den: math.fsum(
+        math.exp(-n / den / (4 * t)) for _, n in points))
     # included classes integrate to infinity (no truncation error); the
     # tail bound covers only classes longer than S_frac
     cylinders = math.fsum(

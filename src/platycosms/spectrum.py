@@ -24,8 +24,11 @@ m = 4, Q = diag(4, 4, 1), equal twisted sums) share one assembly:
 
   twisted terms   per space, the points of the integer fixed sublattice
                   ker(Bg^T - 1) in the ball: O(sqrt K) walked directly
-                  along the line of a screw, O(K) on the plane of a
-                  glide, kept as the sorted nonzero sums of each key;
+                  along the line of a screw (the lines with one key
+                  coefficient together, each y adding a value read from
+                  the 4-cycle of their phases), O(K) on the plane of a
+                  glide, kept as the sorted nonzero real and imaginary
+                  sums of each key;
   assembly        once per (m, Q, K, twisted sums), summed in a list
                   indexed by key 0..K:
     identity term   shell sizes for every key at once.  When Q is
@@ -47,7 +50,22 @@ m = 4, Q = diag(4, 4, 1), equal twisted sums) share one assembly:
                   with 0): O(K) for the four together.  The shell walk
                   depends on Q and the key alone, so the second space of
                   a pair reuses the first one's; the rep matrices and
-                  phases applied to it are its own.
+                  phases applied to it are its own;
+  verdict         the two sides of one assembly hold the same entries
+                  tuple, so `first_difference` returns at once.
+
+The assembly's table is not validated again by `SpectrumTable`'s
+constructor, which a caller's table still passes through; on this path
+each invariant it checks has its own holder:
+
+  pairs of ints, sorted distinct keys in 0..K
+                  construction: the keys are the indices of the nonzero
+                  sums in a list of ints indexed 0..K, zipped with the
+                  int quotients of those sums by m;
+  positive multiplicities
+                  the pass: no negative sum, every sum a multiple of m,
+                  and zero sums dropped, so every stored sum is at least m;
+  key 0 = (0, 1)  the key-0 probe, which sums the origin alone.
 
 The assembly memo holds 2 entries and the probe-shell memo 4: enough for
 the two sides of one comparison, too few to carry work from one
@@ -57,8 +75,10 @@ comparison into the next.
 data.  `linalg.half_shell` walks one point of each pair +-x of the shell:
 the O(K) (a, b) heads of half the ellipsoid's cross-sections, keeping a
 head only when the discriminant of the quadratic in the last coordinate
-is a perfect square, with one integer square root per head.  To each
-point it applies every rep's full matrix and phase, testing M x = x in
+is a perfect square, read from one table of the squares up to q*key,
+which holds every discriminant a head can have (a shell with fewer heads
+than the table has squares takes a root per head).  To each point it
+applies every rep's full matrix and phase, testing M x = x in
 plain integer arithmetic; a rep whose matrix is I and whose phases are
 0, the identity, adds one per point.  x and -x are fixed by the same
 reps and have conjugate phases, so the shell's sum is twice the real
@@ -111,8 +131,8 @@ __all__ = [
 
 # Largest norm key any spectrum (circles included), multiplicity or shell
 # enumerates, checked before the work starts.  spectrum_table(tetra, K) takes
-# about 0.2 s at K = 100,000 and 1.3 s at K = 400,000 (Python 3.11, one core
-# of a 2-vCPU machine).
+# 0.23-0.29 s at K = 100,000 and 1.7-2.4 s at K = 400,000 in a fresh process
+# (Python 3.11, one core of a 2-vCPU machine whose speed varies about 1.6x).
 SPECTRAL_KEY_BUDGET = 2_000_000
 
 
@@ -176,6 +196,9 @@ class SpectrumTable:
         """Smallest key (up to the shared max_key) where the tables differ,
         as (key, self_mult, other_mult); None if they agree."""
         a, b = self.entries, other.entries
+        if a is b:
+            # the two sides of one assembly
+            return None
         # below the first index where the sorted entries differ both tables
         # agree; there the lesser key is missing from the other table (its
         # stored multiplicities are positive) or carries another one
@@ -197,6 +220,16 @@ class SpectrumTable:
         lines = ["key,eigenvalue_over_pi2,multiplicity"]
         lines.extend(f"{k},{k},{m}" for k, m in self.entries)
         return "\n".join(lines) + "\n"
+
+
+def _trusted_table(max_key: int, entries: tuple[tuple[int, int], ...]) -> SpectrumTable:
+    """SpectrumTable from the entries `_assembly` has just built, without
+    `__post_init__`: the module docstring names the check that holds each
+    of its invariants on this path."""
+    table = object.__new__(SpectrumTable)
+    object.__setattr__(table, "max_key", max_key)
+    object.__setattr__(table, "entries", entries)
+    return table
 
 
 @dataclass(frozen=True)
@@ -475,30 +508,43 @@ def _shell_sizes(gram, max_key: int) -> list[int]:
     return sizes
 
 
-def _twisted_sums(data: _DualData, max_key: int) -> tuple[tuple[int, int, int], ...]:
-    """The twisted terms up to max_key, summed over the reps g != 1: one
-    (key, re, im) for each key with a nonzero sum, in key order."""
+def _twisted_sums(data: _DualData, max_key: int):
+    """The twisted terms up to max_key, summed over the reps g != 1: the
+    (key, re) pairs of the nonzero real parts and the (key, im) pairs of
+    the nonzero imaginary parts, each in key order.  Only a glide plane
+    adds imaginary parts."""
     den = data.den
     re, im = {0: 0}, {}
+    # per key coefficient q of a screw line: the sum over its lines of the
+    # value the points y and -y add, by y mod 4
+    cycles = {}
     for act in data.actions[1:]:
         if len(act.fixed_gram) == 1:
             # a screw line: the points y and -y share the key q y^2 and have
-            # conjugate phases i^(+-p y / den), so they add 2 Re i^(p y / den)
+            # conjugate phases i^(+-p y / den), so they add 2 Re i^(p y / den),
+            # a value that repeats with y mod 4
             q, p = act.fixed_gram[0][0], act.fixed_phase[0]
             re[0] += 1
-            n = isqrt(max_key // q)
-            if n:
+            if q <= max_key:
                 step = _quarter_turns(p, den)
-                for y in range(1, n + 1):
-                    key = q * y * y
-                    re[key] = re.get(key, 0) + 2 * _RE[step * y & 3]
+                cycle = cycles.setdefault(q, [0, 0, 0, 0])
+                for y in range(4):
+                    cycle[y] += 2 * _RE[step * y & 3]
             continue
         for y, key in form_points(act.fixed_gram, 0, max_key):
             r = _quarter_turns(sum(a * b for a, b in zip(act.fixed_phase, y)), den)
             re[key] = re.get(key, 0) + _RE[r]
             im[key] = im.get(key, 0) + _IM[r]
-    sums = ((key, r, im.get(key, 0)) for key, r in sorted(re.items()))
-    return tuple(t for t in sums if t[1] or t[2])
+    for q, cycle in cycles.items():
+        n = isqrt(max_key // q)
+        for y0, value in enumerate(cycle):
+            # the y whose lines add 0 in all are skipped
+            if value:
+                for y in range(y0 or 4, n + 1, 4):
+                    key = q * y * y
+                    re[key] = re.get(key, 0) + value
+    return (tuple(sorted(compress(re.items(), re.values()))),
+            tuple(sorted(compress(im.items(), im.values()))))
 
 
 # Sized for one comparison, as `_probe_shell` is.
@@ -513,9 +559,10 @@ def _assembly(m: int, gram, max_key: int, twisted):
     # K//2 and K (key 0 is never empty)
     probe_keys = sorted({0, 1, *(next(k for k in range(top, -1, -1) if re[k])
                                  for top in (max_key // 2, max_key))})
-    for key, r, _ in twisted:
+    twisted_re, twisted_im = twisted
+    for key, r in twisted_re:
         re[key] += r
-    im = {key: i for key, _, i in twisted if i}
+    im = dict(twisted_im)
     sums = list(compress(re, re))
     mults = list(map(floordiv, sums, repeat(m)))
     # with no imaginary or negative sum, each sum r is at least m (r // m),
@@ -526,7 +573,7 @@ def _assembly(m: int, gram, max_key: int, twisted):
             i = im.get(key, 0)
             if i or r < 0 or r % m:
                 _finalize(key, r, i, m)  # raises
-    table = SpectrumTable(max_key, tuple(zip(compress(count(), re), mults)))
+    table = _trusted_table(max_key, tuple(zip(compress(count(), re), mults)))
     return table, tuple((key, re[key] // m) for key in probe_keys if key <= max_key)
 
 

@@ -107,8 +107,10 @@ def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
     `Isometry(...)`; 9 Hermite reductions: one kernel per twisted rep while
     lowering, whose fixed-point test is a gcd, and a basis and a
     conjugation lattice per twist family.  No imprimitivity solve runs at
-    length 1/2, where no class can be a proper power."""
-    counts = {"orthogonal": 0, "scaled": 0, "validated": 0, "hnf": 0}
+    length 1/2, where no class can be a proper power, so no rotation
+    powers are built.  At length 2 the same spaces, whose class tables are
+    cached, build them for their solves."""
+    counts = {"orthogonal": 0, "scaled": 0, "validated": 0, "hnf": 0, "powers": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -123,6 +125,7 @@ def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
     hnf = counting("hnf", linalg.hnf_rows)
     for module in (euclid, linalg, geodesics):
         monkeypatch.setattr(module, "hnf_rows", hnf)
+    monkeypatch.setattr(geodesics, "_powers", counting("powers", geodesics._powers))
     paths = []
     for base, kind, seed in (("tetra", 15, 3), ("didi", 13, 4)):
         path = tmp_path / f"{base}.json"
@@ -131,7 +134,11 @@ def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "balance", "--left-file", paths[0], "--right-file", paths[1],
                        "--max-length", "1/2")
     assert code == 0 and json.loads(out)["balanced"] is True
-    assert counts == {"orthogonal": 8, "scaled": 12, "validated": 0, "hnf": 18}
+    assert counts == {"orthogonal": 8, "scaled": 12, "validated": 0, "hnf": 18, "powers": 0}
+    code, out, _ = run(capsys, "balance", "--left-file", paths[0], "--right-file", paths[1],
+                       "--max-length", "2")
+    assert code == 0 and json.loads(out)["balanced"] is True
+    assert counts["powers"] > 0
 
 
 # --- spectrum ---------------------------------------------------------------------
@@ -271,6 +278,20 @@ def test_heat_trace_csv_grid(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "t,spectral,geometric,abs_diff,bound"
     assert len(lines) == 3
+
+
+def test_heat_trace_on_a_fine_lattice_exit_2(tmp_path, capsys):
+    """The cubical torus with its basis divided by 1000: its geometric
+    side would enumerate about 1.8e11 lattice points to radius 7/2, so the
+    point budget refuses it."""
+    doc = presentation_to_json(preset("cubical_torocosm"))
+    doc["lattice"] = [["1/1000" if c == "1" else c for c in row] for row in doc["lattice"]]
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "heat-trace", "--space-file", str(path), "--t", "0.1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: lattice enumeration to radius 7/2 visits more than")
+    assert err.count("\n") == 1
 
 
 def test_heat_trace_rejects_both_time_flags(capsys):

@@ -1,5 +1,6 @@
 """Source hygiene, read from the package's syntax trees with `ast`: public
-names resolve, module-level imports are read, private helpers are used."""
+names resolve, module-level imports are read, private helpers are used,
+validation is bypassed only in named places."""
 
 import ast
 import importlib
@@ -76,3 +77,29 @@ def test_every_private_helper_is_referenced():
             refs += names
     dead = [name for name in private if not refs[name.split(".", 1)[1]]]
     assert not dead, f"private helpers that nothing references: {dead}"
+
+
+def test_validation_is_bypassed_only_in_trusted_constructors():
+    """`object.__new__` makes an instance without its `__init__`, so
+    without the validation in `__post_init__`.  It may appear only in a
+    function whose name starts with `_trusted`, whose docstring says what
+    holds the invariants instead."""
+    trusted, stray = set(), []
+
+    def visit(stem, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(stem, child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                if function and function.startswith("_trusted"):
+                    trusted.add(f"{stem}.{function}")
+                else:
+                    stray.append(f"{stem}.py:{child.lineno}")
+            visit(stem, child, function)
+
+    for stem, tree in SOURCES.items():
+        visit(stem, tree, None)
+    assert not stray, f"object.__new__ outside a _trusted constructor: {stray}"
+    assert trusted == {"euclid._trusted", "spectrum._trusted_table"}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,21 @@ def test_half_shell_and_its_negatives_are_the_shell(a, key):
     assert not {tuple(-c for c in y) for y in half} & set(half)
     full = half + [tuple(-c for c in y) for y in half] + ([(0, 0, 0)] if key == 0 else [])
     assert sorted(full) == sorted(y for y, _ in form_points(H, key, key))
+
+
+def test_half_shell_of_few_heads_builds_no_table_of_squares():
+    """A shell with fewer heads than squares up to q key takes a root per
+    head: at key 100 of diag(1, 1, 4e8), about 160 heads against a table of
+    200,001 squares that would take over 10 MB."""
+    H = ((1, 0, 0), (0, 1, 0), (0, 0, 4 * 10**8))
+    tracemalloc.start()
+    try:
+        half = half_shell(H, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(half) == [(0, 10, 0), (6, -8, 0), (6, 8, 0), (8, -6, 0), (8, 6, 0), (10, 0, 0)]
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("space", [

@@ -115,6 +115,22 @@ def test_shell_walk_dropping_a_point_is_caught_by_a_probe(monkeypatch):
     assert _caught(_fresh("drop-799"), 799) == ("probe", 397)
 
 
+def test_extra_points_at_key_zero_are_caught_by_the_key_zero_probe(monkeypatch):
+    """The identity term counts m + 1 = 5 points at key 0, not the origin
+    alone.  The sum there becomes 5 + 3 = 8 = 2m, a multiple of m that the
+    pass accepts, and the table stores multiplicity 2 at key 0.  The probe
+    at key 0, which sums the origin alone, reads 1 and fails there."""
+    real = spectrum_module._shell_sizes
+
+    def padded(gram, max_key):
+        sizes = real(gram, max_key)
+        sizes[0] += 4
+        return sizes
+
+    monkeypatch.setattr(spectrum_module, "_shell_sizes", padded)
+    assert _caught(_fresh("key-0"), 40) == ("probe", 0)
+
+
 def test_narrow_slot_width_is_caught_by_a_probe(monkeypatch):
     """Slots one step below the least width that holds the largest shell
     count.  For Tetra, key 1076 (count 264) is the first shell to overflow

@@ -127,6 +127,28 @@ def test_lattice_count_boundary_is_exact():
     assert lattice_count(CUBIC_LATTICE, 1) - lattice_count(CUBIC_LATTICE, Fraction(99, 100)) == 6
 
 
+def test_fine_lattice_count_is_refused():
+    """The cubic lattice with its basis divided by 1000 has about 4.2e9
+    points in the unit ball: the enumeration stops at the point budget, and
+    the radius in the message is abridged."""
+    fine = Lattice(mat([[Fraction(1, 1000), 0, 0], [0, Fraction(1, 1000), 0],
+                        [0, 0, Fraction(1, 1000)]]))
+    assert lattice_count(fine, Fraction(1, 100)) == 4169  # in the budget
+    with pytest.raises(CutoffBudgetError, match="lattice enumeration to radius 1 visits"):
+        lattice_count(fine, 1)
+    with pytest.raises(CutoffBudgetError, match=r"radius 1" + "0" * 19 + r"\.\.\. visits"):
+        lattice_count(CUBIC_LATTICE, 10**100)
+
+
+def test_preset_heat_trace_at_the_radius_budget_is_in_the_point_budget():
+    """The cubical torus, the finest preset lattice, at a t whose certified
+    radius rounds up to the radius budget 64: 1,097,917 lattice points, under
+    the point budget."""
+    res = geometric_heat_trace(preset("cubical_torocosm"), HeatTraceConfig(34.0, 1e-10))
+    assert 63.9 < res.cutoff <= 64
+    assert math.isclose(res.value, 1.0, abs_tol=1e-10)
+
+
 # --- spectral trace ------------------------------------------------------------------
 
 

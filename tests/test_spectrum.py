@@ -443,19 +443,21 @@ def test_table_probes_call_multiplicity(monkeypatch):
 
 def test_table_probes_visit_half_shells(monkeypatch):
     """A work guard with no timing: the probes of a new Tetra table at K =
-    600 take one integer square root per cross-section head and one per
-    row.  The half-shell walk takes 389 of them; a walk over whole shells
-    (772) or another probe key would take more."""
-    real, calls = linalg.isqrt, []
+    600 walk 363 cross-section heads, each one discriminant of the running
+    sums: 1, 121 and 241 at the keys 1, 300 and 600 of the half-shell walk.
+    A walk over whole shells (723 heads) or another probe key (at least one
+    head more) would walk more."""
+    real, heads = linalg.accumulate, [0]
 
-    def counting(n):
-        calls.append(n)
-        return real(n)
+    def counting(*args, **kwargs):
+        for disc in real(*args, **kwargs):
+            heads[0] += 1
+            yield disc
 
-    monkeypatch.setattr(linalg, "isqrt", counting)
+    monkeypatch.setattr(linalg, "accumulate", counting)
     fresh = PlatycosmPresentation("tetra-work-guard", TETRA.lattice, TETRA.holonomy_reps)
     spectrum_table(fresh, 600)
-    assert 0 < len(calls) <= 389
+    assert 0 < heads[0] <= 363
 
 
 def _variant(base: str, kind: int, seed: int) -> PlatycosmPresentation:
@@ -479,8 +481,11 @@ def test_isospectral_pair_assembles_once(monkeypatch):
     """A work guard with no timing.  Fresh Tetra and Didi variants have the
     same m, Q and twisted sums, so at K = 600 the pair makes one assembly:
     one `_shell_sizes` call, and one walk of each probe shell with key >= 2
-    (300 and 600).  Each side still runs its own 4 `multiplicity` probes."""
+    (300 and 600).  Each side still runs its own 4 `multiplicity` probes.
+    No table is validated again by `SpectrumTable.__post_init__`: the
+    assembly's pass and each side's key-0 probe hold its invariants."""
     counts = {"sizes": 0, "walks": 0, "probes": 0}
+    validations = []
 
     def counting(name, real, keyed=False):
         def wrapper(*args):
@@ -495,9 +500,17 @@ def test_isospectral_pair_assembles_once(monkeypatch):
                         counting("walks", spectrum_module.half_shell, keyed=True))
     monkeypatch.setattr(spectrum_module, "multiplicity",
                         counting("probes", spectrum_module.multiplicity))
+    real_validation = SpectrumTable.__post_init__
+
+    def validating(table):
+        validations.append(table)
+        real_validation(table)
+
+    monkeypatch.setattr(SpectrumTable, "__post_init__", validating)
     verdict = is_isospectral(_variant("tetra", 15, 1), _variant("didi", 13, 2), 600)
     assert verdict.equal
     assert counts == {"sizes": 1, "walks": 2, "probes": 8}
+    assert validations == []
     assert spectrum_module._assembly.cache_info().misses == 1
 
 
