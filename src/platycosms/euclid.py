@@ -47,6 +47,7 @@ from .linalg import (
     hnf_rows,
     integer_kernel,
     inv3,
+    kernel3,
     mat,
     mat_mul,
     mat_vec,
@@ -83,25 +84,33 @@ IntVec = tuple[int, int, int]
 IntMat = tuple[IntVec, IntVec, IntVec]
 
 
-def _mat3(rows, what: str) -> Mat3:
-    rows = tuple(tuple(row) for row in rows)
+def _square(rows: tuple, what: str) -> tuple:
+    """rows, a tuple of tuples, when it is 3 rows of 3 entries."""
     if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise InvalidPresentationError(f"{what} must be a 3x3 matrix")
-    return mat(rows)
+    return rows
+
+
+def _triple(entries: tuple) -> tuple:
+    """entries, a tuple, when it has 3 of them."""
+    if len(entries) != 3:
+        raise InvalidPresentationError("translation must have 3 entries")
+    return entries
+
+
+def _mat3(rows, what: str) -> Mat3:
+    return mat(_square(tuple(tuple(row) for row in rows), what))
 
 
 def _vec3(entries) -> Vec3:
-    entries = tuple(entries)
-    if len(entries) != 3:
-        raise InvalidPresentationError("translation must have 3 entries")
-    return vec(*entries)
+    return vec(*_triple(tuple(entries)))
 
 
 def _scaled(rows) -> tuple[int, tuple]:
     """(d, d * rows): the least common denominator of rational rows and
     the rows scaled by it to integers."""
     d = math.lcm(*[c.denominator for row in rows for c in row])
-    return d, tuple(tuple([c.numerator * (d // c.denominator) for c in row]) for row in rows)
+    return d, tuple([tuple([c.numerator * (d // c.denominator) for c in row]) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ class Isometry:
 
     @property
     def is_identity(self) -> bool:
-        return self.rot == IDENTITY and self.trans == vec(0, 0, 0)
+        return self.rot == IDENTITY and not any(self.trans)
 
 
 def _check_orthogonal(g: Isometry) -> None:
@@ -270,7 +279,7 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
     # rep 0 is the identity, so row and column 0 of every table below are
     # known without a product
     m = len(reps)
-    index = {tuple(tuple(d * c for c in row) for row in R): i for i, R in enumerate(cart)}
+    index = {tuple([tuple([d * c for c in row]) for row in R]): i for i, R in enumerate(cart)}
     product = [tuple(range(m))]
     for a, A in enumerate(cart[1:], 1):
         row = [a]
@@ -287,27 +296,29 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
     basis_t = transpose(basis)
     adj = adj3(basis_t)
     rots = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rot_den = det * d
     for R in cart[1:]:
         num = mat_mul(mat_mul(adj, R), basis_t)
-        if any(c % (det * d) for row in num for c in row):
+        if any([c % rot_den for row in num for c in row]):
             raise InvalidPresentationError(
                 "holonomy does not preserve the translation lattice"
             )
-        rots.append(tuple(tuple(c // (det * d) for c in row) for row in num))
+        rots.append(tuple([tuple([c // rot_den for c in row]) for row in num]))
     # translations: coordinates scale adj t / det over one reduced denominator
     q, ts = _scaled([g.trans for g in reps])
     nums = [mat_vec(adj, t) for t in ts]
     div = det * q
     if div < 0:
-        div, nums = -div, [tuple(-c for c in x) for x in nums]
-    g = math.gcd(div, *(scale * c for x in nums for c in x))
+        div, nums = -div, [(-x, -y, -z) for x, y, z in nums]
+    g = math.gcd(div, *[scale * c for x in nums for c in x])
     den = div // g
-    trans = [tuple(scale * c // g for c in x) for x in nums]
+    trans = [(scale * x // g, scale * y // g, scale * z // g) for x, y, z in nums]
     for a in range(1, m):
+        A, (ta0, ta1, ta2), row = rots[a], trans[a], product[a]
         for b in range(1, m):
-            c = product[a][b]
-            shifted = mat_vec(rots[a], trans[b])
-            if any((s + t - u) % den for s, t, u in zip(shifted, trans[a], trans[c])):
+            x, y, z = mat_vec(A, trans[b])
+            tc0, tc1, tc2 = trans[row[b]]
+            if (x + ta0 - tc0) % den or (y + ta1 - tc1) % den or (z + ta2 - tc2) % den:
                 raise InvalidPresentationError(
                     "coset representatives are not closed modulo the lattice"
                 )
@@ -315,8 +326,9 @@ def _lower(lattice: Lattice, reps: tuple[Isometry, ...]) -> IntegerForm:
     # functional f fixed by A (f A = f), solvable for integral x; for one
     # functional f, den f . x takes exactly the multiples of den gcd(f)
     fixed = []
-    for A, c in zip(rots[1:], trans[1:]):
-        kernel = integer_kernel([[int(i == j) - A[j][i] for j in range(3)] for i in range(3)])
+    for ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)), c in zip(rots[1:], trans[1:]):
+        # I - A^T
+        kernel = kernel3(((1 - a0, -a3, -a6), (-a1, 1 - a4, -a7), (-a2, -a5, 1 - a8)))
         if not kernel:
             raise InvalidPresentationError(
                 "a holonomy rep with no +1 eigenvalue always has a fixed point"
@@ -541,26 +553,41 @@ def _numeral(entry) -> Fraction:
     return Fraction(text)
 
 
-def _numerals(value, depth: int):
-    """A JSON list (depth 1) or list of lists (depth 2) of numerals; a
-    string is not read as a list of its characters."""
+def _numerals(value, depth: int, memo: dict) -> tuple:
+    """A JSON list (depth 1) or list of lists (depth 2) of numerals, as a
+    tuple (of tuples) of Fractions; a string is not read as a list of its
+    characters.  `memo` holds the value of each numeral text read so far
+    in the document, so each distinct text is parsed once.  It is keyed
+    by the text, as `_numeral` reads it: the JSON values 1, 1.0 and true
+    hash alike, but only the first two are numerals."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"expected a list, got {type(value).__name__}")
-    if depth == 1:
-        return [_numeral(c) for c in value]
-    return [_numerals(row, 1) for row in value]
+    if depth == 2:
+        return tuple([_numerals(row, 1, memo) for row in value])
+    row = []
+    for entry in value:
+        text = str(entry)
+        number = memo.get(text)
+        if number is None:
+            number = memo[text] = _numeral(text)
+        row.append(number)
+    return tuple(row)
 
 
 def presentation_from_json(doc: dict) -> PlatycosmPresentation:
     """The presentation of a space document.  Numerals and shapes are read
     first, and their errors are reported as a malformed document; the
     isometries, the lattice and the group are checked after that, with
-    their own messages."""
+    their own messages.  Each distinct numeral text is parsed once."""
+    memo: dict[str, Fraction] = {}
     try:
         name = doc["name"]
-        basis = _mat3(_numerals(doc["lattice"], 2), "lattice basis")
+        # every entry is a Fraction already: the shapes are checked, and
+        # no entry is converted again
+        basis = _square(_numerals(doc["lattice"], 2, memo), "lattice basis")
         parts = [
-            (_mat3(_numerals(r["rot"], 2), "rotational part"), _vec3(_numerals(r["trans"], 1)))
+            (_square(_numerals(r["rot"], 2, memo), "rotational part"),
+             _triple(_numerals(r["trans"], 1, memo)))
             for r in doc["reps"]
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError,

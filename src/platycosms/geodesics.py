@@ -58,7 +58,6 @@ from .linalg import (
     dot,
     fraction_to_str,
     hermite,
-    hnf_rows,
     mat_mul,
     mat_vec,
     solve_integer,
@@ -139,8 +138,7 @@ class _TwistFamily:
     # axis_form . X = a + n*g for the family point (n, y1, y2), X the scaled
     # lattice coordinates of its translation; its length is |a + n*g| * unit
     screw: tuple[int, int]
-    unit: Fraction
-    spacing: Fraction  # g * unit, the length between consecutive n
+    unit: tuple[int, int]  # (numerator, denominator)
     axis_form: IntVec  # integer multiple of x -> <x, axis> on lattice coordinates
     basis: IntMat  # columns: step vector, w1, w2 in lattice coordinates
     basis_inv: IntMat
@@ -152,8 +150,43 @@ class _TwistFamily:
         (p, _), (_, r) = self.conj_lattice
         return p * r
 
+    @cached_property
+    def spacing(self) -> Fraction:
+        """g * unit, the length between consecutive n; only the heat
+        trace's tail bound reads it."""
+        return Fraction(self.screw[1] * self.unit[0], self.unit[1])
 
-def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
+
+def _conj_lattice(diff: IntMat) -> tuple[tuple[int, int], ...]:
+    """HNF rows [[p, q], [0, r]] of the lattice spanned by the vectors
+    (diff[1][k], diff[2][k]): p is the gcd of their first entries, p*r
+    the gcd of their 2x2 minors, and q, mod r, the second entry of the
+    spanning combination sum u_k (x_k, y_k) whose Bezout coefficients u_k
+    give sum u_k x_k = p."""
+    xs, ys = diff[1], diff[2]
+    det = math.gcd(xs[0] * ys[1] - xs[1] * ys[0], xs[0] * ys[2] - xs[2] * ys[0],
+                   xs[1] * ys[2] - xs[2] * ys[1])
+    if not det:
+        raise UnsupportedGeometryError("conjugation sublattice is not rank 2")
+    # fold the extended Euclidean algorithm over the first entries, carrying
+    # s = sum u_k y_k along with p = sum u_k x_k
+    p = s = 0
+    for x, y in zip(xs, ys):
+        u, v, a, a1, b, b1 = p, x, 1, 0, 0, 1
+        while v:
+            t = u // v
+            u, v, a, a1, b, b1 = v, u - t * v, a1, a - t * a1, b1, b - t * b1
+        if u < 0:
+            u, a, b = -u, -a, -b
+        p, s = u, a * s + b * y
+    r = det // p
+    return (p, s % r), (0, r)
+
+
+def _build_family(form: IntegerForm, i: int, steps: dict) -> _TwistFamily:
+    """Family i > 0.  `steps` maps each integer axis form met so far to its
+    step basis, so families that share an axis, as the powers of one
+    rotation do, reduce it once."""
     A = form.rots[i]
     fixed = form.fixed[i - 1]
     if len(fixed) != 1:
@@ -163,39 +196,43 @@ def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
     # the fixed functional f pairs lattice coordinates with the dual vector
     # basis^-1 f, which the rotation fixes: the primitive integer vector along
     # adj(basis) f = f . adj(basis^T), first nonzero entry positive, is the axis
-    axis = mat_vec(transpose(form.adj), fixed[0])
-    content = math.gcd(*axis) * (1 if next(c for c in axis if c) > 0 else -1)
-    axis = tuple(c // content for c in axis)
+    x, y, z = mat_vec(transpose(form.adj), fixed[0])
+    content = math.gcd(x, y, z)
+    if (x or y or z) < 0:
+        content = -content
+    axis = (x // content, y // content, z // content)
     norm = dot(axis, axis)
     axis_len = math.isqrt(norm)
     if axis_len * axis_len != norm:
         raise UnsupportedGeometryError("screw axis has irrational length scale")
-    twist = _TWIST_FROM_TRACE.get(A[0][0] + A[1][1] + A[2][2])
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = A
+    trace = a0 + a4 + a8
+    twist = _TWIST_FROM_TRACE.get(trace)
     if twist is None:
         raise UnsupportedGeometryError("twist is not a rational multiple of pi")
 
     # <b, axis> for the basis vectors b is raw / scale = h * ints / scale, so
     # the translation with scaled lattice coordinates X has axis component
     # ints . X * h / (den * scale): a length is |ints . X| * unit
-    raw = mat_vec(form.basis, axis)
-    h = math.gcd(form.scale, *raw)
-    ints = tuple(c // h for c in raw)
-    unit = Fraction(h, form.den * form.scale * axis_len)
-    # the unimodular U with U . ints^T = (gcd, 0, 0)^T: its first row is a
-    # step vector that the form maps to the gcd, the other two span the
-    # form's kernel, and as columns the three are a basis of Z^3
-    ((gcd_all,), _, _), U, _ = hermite([ints])
-    basis = tuple(zip(*U))
-    det = det3(basis)
-    basis_inv = tuple(tuple(det * c for c in row) for row in adj3(basis))
+    x, y, z = mat_vec(form.basis, axis)
+    h = math.gcd(form.scale, x, y, z)
+    ints = (x // h, y // h, z // h)
+    step = steps.get(ints)
+    if step is None:
+        # the unimodular U with U . ints^T = (gcd, 0, 0)^T: its first row is
+        # a step vector that the form maps to the gcd, the other two span
+        # the form's kernel, and as columns the three are a basis of Z^3
+        ((gcd_all,), _, _), U, _ = hermite([ints])
+        basis = tuple(zip(*U))
+        det = det3(basis)
+        step = steps[ints] = (gcd_all, basis,
+                              tuple(tuple(det * c for c in row) for row in adj3(basis)))
+    gcd_all, basis, basis_inv = step
 
     # (I - B)Lambda: columns of basis_inv . (I - A), all with n = 0
-    diff = mat_mul(basis_inv, tuple(
-        tuple(int(r == c) - A[r][c] for c in range(3)) for r in range(3)
-    ))
-    H = hnf_rows([[diff[1][k], diff[2][k]] for k in range(3)])
-    if len(H) != 2 or H[1][0] != 0 or H[0][0] <= 0 or H[1][1] <= 0:
-        raise UnsupportedGeometryError("conjugation sublattice is not rank 2")
+    conj = _conj_lattice(mat_mul(basis_inv, (
+        (1 - a0, -a1, -a2), (-a3, 1 - a4, -a5), (-a6, -a7, 1 - a8)
+    )))
     # the rep translation has ints . X = a, the step vector den * gcd_all = g
     a, g = dot(ints, form.trans[i]), form.den * gcd_all
     if a % g == 0:
@@ -203,12 +240,11 @@ def _build_family(form: IntegerForm, i: int) -> _TwistFamily:
     return _TwistFamily(
         twist_over_pi=twist,
         screw=(a, g),
-        unit=unit,
-        spacing=g * unit,
+        unit=(h, form.den * form.scale * axis_len),
         axis_form=ints,
         basis=basis,
         basis_inv=basis_inv,
-        conj_lattice=tuple(tuple(r) for r in H),
+        conj_lattice=conj,
     )
 
 
@@ -229,7 +265,11 @@ class _ClassTable:
     # row-major, e), 13 ints: the conjugate by one rep of the point z, or
     # of its inverse, is T z + e, one rep per coset of the family's <A>
     actions: tuple[tuple[tuple, ...], ...]
-    shortest: Optional[Fraction]  # least length over all families
+    # lengths over one common denominator: the point of family f with axis
+    # value u has length |u| * units[f] / length_den
+    length_den: int
+    units: tuple[int, ...]
+    shortest: Optional[int]  # least length over all families, over length_den
     form: IntegerForm
 
     @cached_property
@@ -324,7 +364,10 @@ def _powers(form: IntegerForm, r: int) -> tuple[tuple, tuple]:
 @lru_cache(maxsize=CACHE_SIZE)
 def _class_table(P: PlatycosmPresentation) -> _ClassTable:
     form = P.form
-    fams = tuple(_build_family(form, i) for i in range(1, len(form.rots)))
+    steps: dict = {}
+    fams = tuple(_build_family(form, i, steps) for i in range(1, len(form.rots)))
+    length_den = math.lcm(*(f.unit[1] for f in fams))
+    units = tuple(f.unit[0] * (length_den // f.unit[1]) for f in fams)
     return _ClassTable(
         fams=fams,
         den=form.den,
@@ -332,9 +375,11 @@ def _class_table(P: PlatycosmPresentation) -> _ClassTable:
         cartesian=transpose(form.basis),
         cartesian_den=form.den * form.scale,
         actions=_actions(fams, form),
+        length_den=length_den,
+        units=units,
         # |a + n*g| is least at a mod g or at -a mod g
-        shortest=min((min(f.screw[0] % f.screw[1], -f.screw[0] % f.screw[1]) * f.unit
-                      for f in fams), default=None),
+        shortest=min((min(a % g, -a % g) * u for (a, g), u in
+                      zip((f.screw for f in fams), units)), default=None),
         form=form,
     )
 
@@ -389,25 +434,43 @@ def imprimitivity(witness: Isometry, P: PlatycosmPresentation) -> int:
     w = next(i for i, rep in enumerate(P.holonomy_reps[1:]) if rep.rot == witness.rot)
     X = P.form.coords(witness.trans, table.den)
     axis_value = dot(table.fams[w].axis_form, X)
-    k_max = math.floor(abs(axis_value) * table.fams[w].unit / table.shortest)
+    k_max = abs(axis_value) * table.units[w] // table.shortest
     return _imprimitivity(table, w, X, axis_value, k_max)
 
 
 # --- class enumeration -----------------------------------------------------------
 
 
-def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
-    """((length, twist, imprimitivity), witness) for every unoriented
-    twisted class with length <= max_length, in key order."""
-    table = _class_table(P)
+def _coords(table: _ClassTable, f: int, z) -> list[int]:
+    """den times the lattice coordinates of the translation of the point z
+    of family f."""
+    return [c + table.den * x
+            for c, x in zip(table.trans_coords[f], mat_vec(table.fams[f].basis, z))]
+
+
+def _witness(P: PlatycosmPresentation, table: _ClassTable, f: int, z) -> Isometry:
+    """The deck element at the point z of family f."""
+    X = _coords(table, f, z)
+    trans = tuple(Fraction(v, table.cartesian_den) for v in mat_vec(table.cartesian, X))
+    return _trusted(P.holonomy_reps[f + 1].rot, trans)
+
+
+def _census(table: _ClassTable, max_length: Fraction) -> list:
+    """(family, point, length, imprimitivity) for every unoriented twisted
+    class with length <= max_length, in key order: the point (n, y1, y2)
+    is the least of its class, and the length is over table.length_den.
+    The n-ranges, the lengths and the bound on the imprimitivity are
+    integer floor divisions."""
     if not table.fams:
         return []
-    # |a + n*g| * unit <= max_length for n in [lo, hi], counted on the
-    # bounds: a range this long may not have a len()
+    # |a + n*g| * units[f] / length_den <= max_length reads |a + n*g| <= reach
+    # for n in [lo, hi], counted on the bounds: a range this long may not
+    # have a len()
+    top, bottom = max_length.numerator * table.length_den, max_length.denominator
     bounds = []
-    for fam in table.fams:
+    for fam, unit in zip(table.fams, table.units):
         a, g = fam.screw
-        reach = max_length / fam.unit
+        reach = top // (bottom * unit)
         bounds.append((-((reach + a) // g), (reach - a) // g))
     candidates = sum(max(0, hi - lo + 1) * fam.index
                      for (lo, hi), fam in zip(bounds, table.fams))
@@ -439,16 +502,17 @@ def _class_census(P: PlatycosmPresentation, max_length: Fraction) -> list:
                         z2 = (t20 * n + t21 * y1 + t22 * y2 + e2 - c * qi) % ri
                         seen.add((i, t00 * n + t01 * y1 + t02 * y2 + e0, z1, z2))
 
+    # a k-th power is at least k times the shortest length, so a class
+    # shorter than twice it is primitive, and only the others are solved
+    # for roots
     census = []
     for f, *z in keys:
-        fam = table.fams[f]
-        X = [c + table.den * x for c, x in zip(table.trans_coords[f], mat_vec(fam.basis, z))]
-        a, g = fam.screw
-        length = abs(a + z[0] * g) * fam.unit
-        k = _imprimitivity(table, f, X, a + z[0] * g, math.floor(length / table.shortest))
-        trans = tuple(Fraction(v, table.cartesian_den) for v in mat_vec(table.cartesian, X))
-        census.append(((length, fam.twist_over_pi, k),
-                       _trusted(P.holonomy_reps[f + 1].rot, trans)))
+        a, g = table.fams[f].screw
+        axis_value = a + z[0] * g
+        length = abs(axis_value) * table.units[f]
+        k_max = length // table.shortest
+        k = 1 if k_max < 2 else _imprimitivity(table, f, _coords(table, f, z), axis_value, k_max)
+        census.append((f, z, length, k))
     return census
 
 
@@ -458,20 +522,28 @@ def twisted_classes(
 ) -> tuple[GeodesicClass, ...]:
     """All unoriented twisted conjugacy classes with length <= max_length,
     aggregated by (length, twist, imprimitivity), sorted by that signature.
+    Each aggregate's witness is its first class in key order, and only
+    that class becomes an `Isometry`.
 
     Raises CutoffBudgetError when the enumeration would visit more than
     CLASS_CANDIDATE_BUDGET candidates."""
     max_length = Fraction(max_length)
     if max_length <= 0:
         raise ValueError("max_length must be positive")
+    table = _class_table(P)
     grouped: dict[tuple, list] = {}
-    for sig, witness in _class_census(P, max_length):
-        entry = grouped.setdefault(sig, [0, witness])
-        entry[0] += 1
+    for f, z, length, k in _census(table, max_length):
+        key = (length, table.fams[f].twist_over_pi, k)
+        entry = grouped.get(key)
+        if entry is None:
+            grouped[key] = [1, f, z]
+        else:
+            entry[0] += 1
     return tuple(
-        GeodesicClass(length=sig[0], twist_over_pi=sig[1], imprimitivity=sig[2],
-                      count=cnt, witness=wit)
-        for sig, (cnt, wit) in sorted(grouped.items())
+        GeodesicClass(length=Fraction(length, table.length_den),
+                      twist_over_pi=table.fams[f].twist_over_pi, imprimitivity=k,
+                      count=count, witness=_witness(P, table, f, z))
+        for (length, _, k), (count, f, z) in sorted(grouped.items())
     )
 
 

@@ -251,6 +251,27 @@ def integer_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return U[r:]
 
 
+def kernel3(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """`integer_kernel` of an integer 3x3 matrix, with no reduction when
+    its rank is 2.  The kernel is then the line of the cross product c of
+    two independent rows, orthogonal to the third row since det a = c .
+    row = 0.  Its basis vector is c over its content, first nonzero entry
+    positive, the one row `integer_kernel` gives: the reduction carries on
+    past the rank into the identity columns, whose pivot it makes
+    positive.  Any other rank takes `integer_kernel`."""
+    r0, r1, r2 = a
+    for u, v, w in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
+        c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if any(c):
+            if c[0] * w[0] + c[1] * w[1] + c[2] * w[2]:
+                break  # rank 3
+            content = gcd(*c)
+            if next(x for x in c if x) < 0:
+                content = -content
+            return [[x // content for x in c]]
+    return integer_kernel(a)
+
+
 def solve_rational_in_lattice(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from platycosms import spectrum
+from platycosms import geodesics, spectrum
 from platycosms.euclid import (
     IDENTITY_ISOMETRY, Isometry, Lattice, PlatycosmPresentation, compose, inverse,
 )
@@ -180,6 +180,15 @@ def variant_document(base: str, kind: int, seed: int, name: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.variant(base, kind, name, random.Random(seed))
+
+
+def class_census(P: PlatycosmPresentation, max_length) -> list:
+    """((length, twist, imprimitivity), witness) for every unoriented
+    twisted class the enumerator finds to `max_length`, in key order."""
+    table = geodesics._class_table(P)
+    return [((Fraction(length, table.length_den), table.fams[f].twist_over_pi, k),
+             geodesics._witness(P, table, f, z))
+            for f, z, length, k in geodesics._census(table, Fraction(max_length))]
 
 
 def clear_spectrum_memos() -> None:

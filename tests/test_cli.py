@@ -101,16 +101,21 @@ def test_balance_imbalance_exits_one(capsys):
 def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
     """A work guard with no timing: one `balance` op to length 1/2 on two
     fresh space files, a Tetra and a Didi variant of the benchmark with 4
-    reps each.  Per file: one orthogonality check per rep (4); one
-    rational-to-integer scaling per parsed matrix: the lattice, the 4
-    rotations and the translations (6); no rep re-validated by
-    `Isometry(...)`; 9 Hermite reductions: one kernel per twisted rep while
-    lowering, whose fixed-point test is a gcd, and a basis and a
-    conjugation lattice per twist family.  No imprimitivity solve runs at
-    length 1/2, where no class can be a proper power, so no rotation
-    powers are built.  At length 2 the same spaces, whose class tables are
-    cached, build them for their solves."""
-    counts = {"orthogonal": 0, "scaled": 0, "validated": 0, "hnf": 0, "powers": 0}
+    reps each and 57 numerals each.  Per file: each distinct numeral text
+    parsed once (11 in the Tetra file, 12 in the Didi file); one
+    orthogonality check per rep (4); one rational-to-integer scaling per
+    parsed matrix: the lattice, the 4 rotations and the translations (6);
+    no rep re-validated by `Isometry(...)`.  The kernel of each twisted
+    rotation is a cross product, its fixed-point test a gcd, and each
+    family's conjugation lattice a closed form, so the only Hermite
+    reductions are the step bases, one per distinct axis form: 1 for
+    Tetra, whose three families share the z axis, and 3 for Didi.  At
+    length 1/2 no class is twice the shortest, so no imprimitivity solve
+    or divisor scan runs and no rotation powers are built.  At length 2
+    the same spaces, whose class tables are cached, build them for their
+    solves."""
+    counts = {"numerals": 0, "orthogonal": 0, "scaled": 0, "validated": 0, "hnf": 0,
+              "divisors": 0, "powers": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -118,13 +123,15 @@ def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
             return real(*args)
         return wrapper
 
+    monkeypatch.setattr(euclid, "_numeral", counting("numerals", euclid._numeral))
     monkeypatch.setattr(euclid, "_check_orthogonal", counting("orthogonal", euclid._check_orthogonal))
     monkeypatch.setattr(euclid, "_scaled", counting("scaled", euclid._scaled))
     monkeypatch.setattr(euclid.Isometry, "__post_init__",
                         counting("validated", euclid.Isometry.__post_init__))
     hnf = counting("hnf", linalg.hnf_rows)
-    for module in (euclid, linalg, geodesics):
+    for module in (euclid, linalg):
         monkeypatch.setattr(module, "hnf_rows", hnf)
+    monkeypatch.setattr(geodesics, "_divisors", counting("divisors", geodesics._divisors))
     monkeypatch.setattr(geodesics, "_powers", counting("powers", geodesics._powers))
     paths = []
     for base, kind, seed in (("tetra", 15, 3), ("didi", 13, 4)):
@@ -134,11 +141,26 @@ def test_cold_balance_op_work(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "balance", "--left-file", paths[0], "--right-file", paths[1],
                        "--max-length", "1/2")
     assert code == 0 and json.loads(out)["balanced"] is True
-    assert counts == {"orthogonal": 8, "scaled": 12, "validated": 0, "hnf": 18, "powers": 0}
+    assert counts == {"numerals": 23, "orthogonal": 8, "scaled": 12, "validated": 0, "hnf": 4,
+                      "divisors": 0, "powers": 0}
     code, out, _ = run(capsys, "balance", "--left-file", paths[0], "--right-file", paths[1],
                        "--max-length", "2")
     assert code == 0 and json.loads(out)["balanced"] is True
-    assert counts["powers"] > 0
+    assert counts["divisors"] > 0 and counts["powers"] > 0
+
+
+def test_space_file_with_true_after_ints_exits_two(capsys, tmp_path):
+    """JSON true is not a numeral, even once the ints 1 and 0 have been
+    read from the same file: true, 1 and 1.0 hash alike, so the numeral
+    memo is keyed by the text of an entry, not by its value."""
+    doc = presentation_to_json(preset("tetra"))
+    doc["lattice"] = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    doc["reps"][1]["rot"][2][2] = True
+    path = tmp_path / "true.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "geodesics", "--space-file", str(path), "--max-length", "1")
+    assert code == 2 and out == ""
+    assert "malformed space document" in err
 
 
 # --- spectrum ---------------------------------------------------------------------

@@ -548,6 +548,18 @@ def test_numerals_within_the_limit_are_read():
     assert presentation_from_json(doc) == preset("tetra")
 
 
+def test_one_reads_alike_as_int_float_and_text():
+    """The JSON int 1, the float 1.0 and the text "1" each read as 1, and
+    so does every later copy of them, which the numeral memo serves."""
+    doc = presentation_to_json(preset("tetra"))
+    doc["lattice"] = [[1, 0, 0], [0, 1.0, 0], [0, 0, "2"]]
+    doc["reps"][1]["rot"] = [["0", "-1", 0.0], [1, 0, "0"], [0, 0.0, 1.0]]
+    P = presentation_from_json(doc)
+    assert P == preset("tetra")
+    assert all(type(c) is Fraction for row in P.lattice.basis for c in row)
+    assert P.lattice.basis[0][0] == P.lattice.basis[1][1] == P.holonomy_reps[1].rot[2][2] == 1
+
+
 def _same_reading(entry):
     """`_numeral` reads entry as Fraction(str(entry)) does: the same value,
     or an exception of the same class."""

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platycosms.errors import (
     CutoffBudgetError,
@@ -23,8 +24,8 @@ from platycosms.euclid import (
 )
 from platycosms.geodesics import (
     GeodesicClass,
-    _class_census,
     _class_table,
+    _conj_lattice,
     balance_table,
     balance_to_csv,
     classes_to_csv,
@@ -33,11 +34,11 @@ from platycosms.geodesics import (
     twisted_classes,
     weight,
 )
-from platycosms.linalg import vec
+from platycosms.linalg import hnf_rows, vec
 
 import class_oracle
 from class_oracle import unoriented_class as _unoriented_class
-from conftest import isometry_power, make_dicosm, make_tricosm, presentations_of, swap_xz
+from conftest import class_census, isometry_power, make_dicosm, make_tricosm, presentations_of, swap_xz
 
 TETRA = preset("tetra")
 DIDI = preset("didi")
@@ -248,7 +249,7 @@ def test_enumerator_matches_element_oracle(space):
     for bound in (HALF, Fraction(1), Fraction(3), Fraction(9, 2)):
         expected = {key: sig for key, (sig, _) in oracle.items() if sig[0] <= bound}
         found = {}
-        for sig, witness in _class_census(space, bound):
+        for sig, witness in class_census(space, bound):
             assert space.contains(witness)
             key, _ = _unoriented_class(space, witness)
             assert key not in found
@@ -271,6 +272,21 @@ def test_families_are_read_only():
     _class_table.cache_clear()
     assert _class_table(space).fams == fams
     assert twisted_classes(space, Fraction(2)) == before
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_conj_lattice_is_the_hermite_form(diff):
+    """The closed form of (I - B)Lambda, read from gcds and 2x2 minors,
+    is the Hermite form of the column pairs (diff[1][k], diff[2][k]); a
+    lattice of rank below 2 is refused."""
+    pairs = [[diff[1][k], diff[2][k]] for k in range(3)]
+    H = hnf_rows(pairs)
+    if len(H) < 2:
+        with pytest.raises(UnsupportedGeometryError, match="not rank 2"):
+            _conj_lattice(diff)
+    else:
+        assert _conj_lattice(diff) == tuple(tuple(row) for row in H)
 
 
 def test_enumeration_over_budget_is_refused():

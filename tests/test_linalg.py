@@ -7,12 +7,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
 
 from class_oracle import fraction_gcd, fraction_sqrt, primitive_integer_vector
 from conftest import (
     make_amphicosm, make_dicosm, make_fcc_torus, make_skew_dicosm, rank, same_lattice, swap_xz,
 )
+from platycosms import linalg
 from platycosms.euclid import _PRESETS, Lattice, preset
 from platycosms.linalg import (
     IDENTITY,
@@ -24,6 +27,7 @@ from platycosms.linalg import (
     hnf_rows,
     integer_kernel,
     inv3,
+    kernel3,
     mat,
     mat_mul,
     nullspace,
@@ -108,6 +112,37 @@ def test_integer_kernel():
     # kernel vectors must span the x-y plane over Z
     m = [[v[0], v[1]] for v in basis]
     assert abs(_det_int(m)) == 1
+
+
+_SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """Integer 3x3 matrices C . U with U of k <= 3 rows, so of rank <= k."""
+    k = draw(st.integers(0, 3))
+    basis = [draw(st.tuples(_SMALL, _SMALL, _SMALL)) for _ in range(k)]
+    coeffs = [[draw(_SMALL) for _ in range(k)] for _ in range(3)]
+    return [[sum(c * u[j] for c, u in zip(row, basis)) for j in range(3)] for row in coeffs]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_low_rank_matrices(),
+                 st.lists(st.lists(_SMALL, min_size=3, max_size=3), min_size=3, max_size=3)))
+@example([[0, 0, 0]] * 3)
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 5]])
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 1]])
+@example([[1, 1, 0], [0, 0, 0], [2, 2, 0]])
+def test_kernel3_is_integer_kernel(a):
+    """Rank 2 takes the cross product, with no Hermite reduction; ranks
+    0, 1 and 3 take `integer_kernel`.  Either way the basis is the one
+    `integer_kernel` gives."""
+    expected = integer_kernel(a)
+    with mock.patch.object(linalg, "integer_kernel", wraps=integer_kernel) as hermite_path:
+        got = kernel3(a)
+    assert got == expected
+    assert hermite_path.called == (rank(a) != 2)
 
 
 def test_hnf_rows_preserves_row_lattice():

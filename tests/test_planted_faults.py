@@ -25,12 +25,12 @@ from fractions import Fraction
 import pytest
 
 import class_oracle
-from conftest import clear_spectrum_memos
+from conftest import class_census, clear_spectrum_memos
 from platycosms import geodesics as geodesics_module
 from platycosms import spectrum as spectrum_module
 from platycosms.errors import CharacterSumError
 from platycosms.euclid import PlatycosmPresentation, preset
-from platycosms.geodesics import _class_census, balance_table, twisted_classes
+from platycosms.geodesics import balance_table, twisted_classes
 from platycosms.spectrum import spectrum_table
 
 TETRA = preset("tetra")
@@ -163,7 +163,7 @@ def _census_checks(space, length: Fraction):
     weights = {p.length: p.length * p.left.total for p in balance_table(space, space, length)}
     oracle = {key: sig for key, (sig, _) in class_oracle.census(space, length).items()}
     found, twice, misread = {}, 0, []
-    for sig, witness in _class_census(space, length):
+    for sig, witness in class_census(space, length):
         key, _ = class_oracle.unoriented_class(space, witness)
         twice += key in found
         found[key] = sig
